@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -48,7 +48,6 @@ class RunConfig:
     input_path: Optional[str] = None
     out_path: Optional[str] = None
     csv_path: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
 
 def _parse_coeffs(text: str) -> tuple:
@@ -233,7 +232,9 @@ def cmd_mann(cfg: RunConfig) -> int:
         print(f"relations -> {cfg.out_path}")
     ok = not bad
     if cfg.target_scan:
-        worst, worst_target, total = _two_term_target_scan(cfg)
+        worst, worst_target, total = mann.two_term_target_scan(
+            cfg.k, cfg.modulus, cfg.coeffs, cfg.budget
+        )
         bound = mann.relation_count_bound(cfg.k)
         print(
             f"target scan: {total} two-term targets, census max {worst} "
@@ -244,55 +245,15 @@ def cmd_mann(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CEILING
 
 
-def _two_term_target_scan(cfg: RunConfig):
-    """Sweep targets c1*z^e1 + c2*z^e2 over mu_modulus and census each."""
-    from .cyclotomic import unit_roots
-
-    roots = unit_roots(cfg.modulus)
-    targets = {}
-    for e1 in range(cfg.modulus):
-        for c1 in cfg.coeffs:
-            for e2 in range(e1, cfg.modulus):
-                for c2 in cfg.coeffs:
-                    a = roots[e1] * c1 + roots[e2] * c2
-                    if a.is_zero():
-                        continue
-                    targets.setdefault(a.coeffs, a)
-    worst = 0
-    worst_target = None
-    for a in targets.values():
-        hits = mann.enumerate_target_relations(
-            a, cfg.k, cfg.modulus, cfg.coeffs, budget=cfg.budget
-        )
-        if len(hits) > worst:
-            worst = len(hits)
-            worst_target = str(a)
-    return worst, worst_target, len(targets)
-
-
 def cmd_paths(cfg: RunConfig) -> int:
     ps = serialize.load_pointset(cfg.input_path)
     g = distgraph.build_graph(ps, cfg.mode)
-    if g.n < 2:
-        raise ValueError("need at least two points for path statistics")
-    max_col, _ = distgraph.max_points_on_line(ps)
-    delta = g.min_degree() or 0
-    pair_max = 0
-    pair_min = None
-    source_totals = []
-    for v in range(g.n):
-        counts = distgraph.irredundant_path_census(
-            g, v, cfg.k, shortest_only=cfg.shortest, vertex_scope=cfg.scope, cap=cfg.cap
-        )
-        source_totals.append(sum(c for w, c in counts.items() if w != v))
-        for w in range(g.n):
-            if w == v:
-                continue
-            c = counts.get(w, 0)
-            pair_max = max(pair_max, c)
-            pair_min = c if pair_min is None else min(pair_min, c)
-    pair_min = pair_min or 0
+    pair_max, pair_min, source_totals = distgraph.path_stats(
+        g, cfg.k, shortest_only=cfg.shortest, vertex_scope=cfg.scope, cap=cfg.cap
+    )
     source_min = min(source_totals)
+    max_col, _ = distgraph.max_points_on_line(ps)
+    delta = g.min_degree()
     bound = mann.relation_count_bound(cfg.k)
     floor = distgraph.paths_lower_bound(delta, cfg.k)
     rel_applicable = cfg.mode == "unit" or max_col <= 2

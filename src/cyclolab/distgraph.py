@@ -39,7 +39,6 @@ class DistanceGraph:
     mode: str
     edges: dict
     adjacency: tuple
-    _cross: Optional[list] = field(default=None, repr=False, compare=False)
     _sq: dict = field(default_factory=dict, repr=False, compare=False)
     _evec: Optional[dict] = field(default=None, repr=False, compare=False)
 
@@ -69,13 +68,8 @@ class DistanceGraph:
 
     # -- lazy exact-geometry caches ----------------------------------------
 
-    def cross(self):
-        if self._cross is None:
-            self._cross = geometry.cross_matrix(list(self.pointset.points))
-        return self._cross
-
     def collinear_indices(self, p: int, q: int, r: int) -> bool:
-        mat = self.cross()
+        mat = self.pointset.cross_matrix
         e = mat[q][r]
         f = mat[p][q]
         g = mat[p][r]
@@ -220,7 +214,7 @@ def max_points_on_line(ps: PointSet):
     anchor; the anchor with the lowest index on the richest line sees
     that line's full membership, so the maximum over anchors is exact.
     Membership is decided by the linear identity
-    S(q-p, r-p) = S(q,r) + S(p,q) - S(p,r) on a precomputed pairwise
+    S(q-p, r-p) = S(q,r) + S(p,q) - S(p,r) on the point set's pairwise
     S matrix, so no per-pair field inversion is needed.  Returns
     (count, sorted tuple of member indices).  Needs at least 2 points.
     """
@@ -228,7 +222,7 @@ def max_points_on_line(ps: PointSet):
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
-    mat = geometry.cross_matrix(list(pts))
+    mat = ps.cross_matrix
     best_count = 0
     best_members = None
     for i in range(n):
@@ -307,6 +301,13 @@ def _admissible_shortest(g: DistanceGraph, p: int, u: int, prefix, scope: str) -
     return True
 
 
+def _check_path_length(k: int, cap: int) -> None:
+    if k < 1:
+        raise ValueError("path length must be at least 1")
+    if k > cap:
+        raise CapExceeded(f"path length capped at {cap}, got {k}")
+
+
 def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
     counts = {}
     records = []
@@ -365,10 +366,7 @@ def count_irredundant_paths(
     vertices, "neighbors" only the start's neighbours).  With collect,
     returns (count, list of PathRecords).
     """
-    if k < 1:
-        raise ValueError("path length must be at least 1")
-    if k > cap:
-        raise CapExceeded(f"path length capped at {cap}, got {k}")
+    _check_path_length(k, cap)
     if not (0 <= v < g.n and 0 <= w < g.n):
         raise ValueError("vertex index out of range")
     if v == w:
@@ -391,16 +389,41 @@ def irredundant_path_census(
     cap: int = PATH_CAP,
 ) -> dict:
     """Endpoint -> count of irredundant k-edge paths from source."""
-    if k < 1:
-        raise ValueError("path length must be at least 1")
-    if k > cap:
-        raise CapExceeded(f"path length capped at {cap}, got {k}")
+    _check_path_length(k, cap)
     if not 0 <= source < g.n:
         raise ValueError("vertex index out of range")
     counts, _ = _path_census(
         g, source, k, shortest_only, vertex_scope, False, target=None
     )
     return counts
+
+
+def path_stats(
+    g: DistanceGraph,
+    k: int,
+    shortest_only: bool = False,
+    vertex_scope: str = "all",
+    cap: int = PATH_CAP,
+):
+    """Census from every source: (pair_max, pair_min, source_totals).
+
+    pair_max and pair_min range over ordered pairs of distinct vertices;
+    source_totals[v] is the number of irredundant k-edge paths from v.
+    The keyword arguments are those of irredundant_path_census.  Needs
+    at least two vertices.
+    """
+    if g.n < 2:
+        raise ValueError("need at least two points for path statistics")
+    highs, lows, source_totals = [], [], []
+    for v in range(g.n):
+        counts = irredundant_path_census(
+            g, v, k, shortest_only=shortest_only, vertex_scope=vertex_scope, cap=cap
+        )
+        row = [counts.get(w, 0) for w in range(g.n) if w != v]
+        highs.append(max(row))
+        lows.append(min(row))
+        source_totals.append(sum(row))
+    return max(highs), min(lows), source_totals
 
 
 def path_direction_tuple(record: PathRecord) -> tuple:
@@ -487,6 +510,7 @@ def analyze(ps: PointSet, mode: str, k: int = 2, cap: int = PATH_CAP) -> Analysi
     the continuation floor apply unconditionally, and the peeling
     guarantee is checked whenever there is at least one edge.
     """
+    _check_path_length(k, cap)
     g = build_graph(ps, mode)
     n = g.n
     e = g.edge_count
@@ -508,19 +532,8 @@ def analyze(ps: PointSet, mode: str, k: int = 2, cap: int = PATH_CAP) -> Analysi
     pair_min = 0
     source_min = None
     if sub.n >= 2:
-        pair_min = None
-        for v in range(sub.n):
-            counts = irredundant_path_census(sub, v, k, cap=cap)
-            total = sum(c for wv, c in counts.items() if wv != v)
-            source_min = total if source_min is None else min(source_min, total)
-            for w in range(sub.n):
-                if w == v:
-                    continue
-                c = counts.get(w, 0)
-                pair_max = max(pair_max, c)
-                pair_min = c if pair_min is None else min(pair_min, c)
-        if pair_min is None:
-            pair_min = 0
+        pair_max, pair_min, source_totals = path_stats(sub, k, cap=cap)
+        source_min = min(source_totals)
 
     two_path_max, _ = noncollinear_two_path_stats(g)
 

@@ -129,14 +129,3 @@ def squared_distance(p: CycNum, q: CycNum) -> CycNum:
     w = p - q
     return w * w.conj()
 
-
-def direction_key(d: CycNum):
-    """Invariant of the line direction of a nonzero displacement d.
-
-    d^2 / |d|^2 is unchanged by scaling d with any nonzero real factor
-    and by negation, so equal keys mean parallel displacements.
-    """
-    if d.is_zero():
-        raise ValueError("zero displacement has no direction")
-    r = (d * d) * (d * d.conj()).inverse()
-    return r.coeffs

@@ -501,6 +501,33 @@ def enumerate_target_relations(
     return out
 
 
+def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
+    """Census every nonzero two-term target c1*z^e1 + c2*z^e2 over mu_m.
+
+    Targets are swept with e1, c1, e2 >= e1, c2 nested in that order and
+    kept once each; the witness is the first target reaching the largest
+    census.  Returns (worst, str of the witness target or None, number
+    of targets).
+    """
+    roots = unit_roots(m)
+    targets = {}
+    for e1 in range(m):
+        for c1 in coeff_set:
+            for e2 in range(e1, m):
+                for c2 in coeff_set:
+                    a = roots[e1] * c1 + roots[e2] * c2
+                    if not a.is_zero():
+                        targets.setdefault(a.coeffs, a)
+    worst = 0
+    worst_target = None
+    for a in targets.values():
+        hits = enumerate_target_relations(a, k, m, coeff_set, budget=budget)
+        if len(hits) > worst:
+            worst = len(hits)
+            worst_target = str(a)
+    return worst, worst_target, len(targets)
+
+
 def certify_extension(t1: RelationTuple, t2: RelationTuple):
     """Ratio check across two minimal representations of one nonzero target.
 

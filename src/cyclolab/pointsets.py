@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from . import geometry
 from .cyclotomic import CycNum, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
@@ -52,6 +53,11 @@ class PointSet:
 
     def __len__(self):
         return len(self.points)
+
+    @cached_property
+    def cross_matrix(self):
+        """Pairwise collinearity matrix S(x_i, x_j), built on first use."""
+        return geometry.cross_matrix(list(self.points))
 
 
 def make_pointset(points, name: str, params: dict, seed: int = 0) -> PointSet:

@@ -34,6 +34,7 @@ from cyclolab import (
     relation_count_bound,
     serialize,
     square_grid,
+    two_term_target_scan,
     unit_roots,
 )
 
@@ -122,6 +123,9 @@ def test_criterion_2_corollary_ceiling(announce):
         assert len(hits) <= bound, a
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
+    assert (len(targets), worst) == (540, 24)
+    lib_worst, _, lib_total = two_term_target_scan(2, 12, coeffs)
+    assert (lib_total, lib_worst) == (len(targets), worst)
     announce(
         f"criterion 2 PASS two-term mu_12 targets: {len(targets)} targets, "
         f"census max {worst} <= {bound} ({elapsed:.1f}s)"

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from cyclolab import distgraph, serialize
+from cyclolab import distgraph, erdos_purdy, geometry, serialize
 from cyclolab.cli import main
 
 
@@ -123,6 +123,16 @@ def test_analyze_exit_code_on_ceiling_failure(tmp_path, monkeypatch, capsys):
     assert "ceiling two_path: FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_analyze_checks_path_length_on_one_point(tmp_path, capsys, k):
+    one = tmp_path / "one.json"
+    assert run(["gen", "grid", "--rows", 1, "--cols", 1, "--out", one]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "--in", one, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_analyze_deterministic_bytes(ep3, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run(["analyze", "--in", ep3, "--mode", "unit", "--out", r1]) == 0
@@ -223,6 +233,23 @@ def test_paths_unit_mode_ceiling(ep3, capsys):
 def test_paths_k_over_cap(grid33, capsys):
     assert run(["paths", "--in", grid33, "--k", 9]) == 2
     assert "capped at 8" in capsys.readouterr().err
+
+
+def test_one_cross_matrix_per_point_set(grid33, monkeypatch):
+    ep3 = erdos_purdy(3)
+    calls = []
+    real = geometry.cross_matrix
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(geometry, "cross_matrix", counting)
+    distgraph.analyze(ep3, "unit", 2)
+    assert calls == [8]
+    calls.clear()
+    assert run(["paths", "--in", grid33, "--k", 2, "--shortest"]) == 0
+    assert calls == [9]
 
 
 def test_paths_needs_two_points(tmp_path, capsys):

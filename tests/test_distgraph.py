@@ -22,6 +22,7 @@ from cyclolab import (
     noncollinear_two_path_stats,
     parallel_lines,
     path_direction_tuple,
+    path_stats,
     paths_lower_bound,
     peel_vertices,
     root_of_unity,
@@ -284,10 +285,14 @@ def test_path_validation():
 def test_census_matches_brute_walks(make, mode):
     g = build_graph(make(), mode)
     for k in (1, 2, 3):
+        pairs, totals = [], []
         for v in range(g.n):
-            assert irredundant_path_census(g, v, k) == oracles.brute_path_census(
-                g, v, k
-            ), (mode, k, v)
+            brute = oracles.brute_path_census(g, v, k)
+            assert irredundant_path_census(g, v, k) == brute, (mode, k, v)
+            row = [brute.get(w, 0) for w in range(g.n) if w != v]
+            pairs += row
+            totals.append(sum(row))
+        assert path_stats(g, k) == (max(pairs), min(pairs), totals), (mode, k)
 
 
 def test_census_count_consistency():
