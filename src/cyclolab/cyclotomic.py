@@ -131,6 +131,48 @@ def _to_int_scaled(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+@lru_cache(maxsize=None)
+def _monomial_images(n: int, m: int, t: int) -> tuple:
+    """Images of the power basis of Q(zeta_n) under zeta_n -> zeta_m^(t*m/n).
+
+    Needs n | m.  Row j holds the (index, int) pairs of the image of
+    zeta_n^j, reduced mod Phi_m.  With t = 1 this is the lift into
+    Q(zeta_m); with m = n it is the Galois map zeta -> zeta^t.
+    """
+    pc = cyclotomic_polynomial(m)
+    deg = len(pc) - 1
+    step = t * (m // n) % m
+    exps = [j * step % m for j in range(phi(n))]
+    reduced = {e: ((e, 1),) for e in exps if e < deg}
+    # x^e mod Phi_m for the larger exponents, one multiplication by x at a time
+    power = [0] * (deg - 1) + [1]
+    for e in range(deg, max(exps) + 1):
+        lead = power[-1]
+        power = [0] + power[:-1]
+        if lead:
+            for i in range(deg):
+                power[i] -= lead * pc[i]
+        reduced[e] = tuple((i, v) for i, v in enumerate(power) if v)
+    return tuple(reduced[e] for e in exps)
+
+
+def _apply_rows(rows, den, coeffs, width):
+    """sum(coeffs[j] * rows[j]) / den as a tuple of `width` Fractions."""
+    ints, d = _to_int_scaled(coeffs)
+    acc = [0] * width
+    for c, row in zip(ints, rows):
+        if c:
+            for i, v in row:
+                acc[i] += c * v
+    d *= den
+    return tuple(Fraction(a, d) if a else _ZERO for a in acc)
+
+
+def _map_coeffs(coeffs, n, m, t=1):
+    """Image of conductor-n coefficients under zeta_n -> zeta_m^(t*m/n), at conductor m."""
+    return _apply_rows(_monomial_images(n, m, t), 1, coeffs, phi(m))
+
+
 def _as_fraction(c):
     if type(c) is Fraction:
         return c
@@ -220,12 +262,7 @@ class CycNum:
             return self
         if m < 1 or m % n != 0:
             raise ValueError(f"incompatible conductor: {n} does not divide {m}")
-        k = m // n
-        vec = [_ZERO] * m
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[j * k] = c
-        return CycNum(m, _reduce_vec(vec, m))
+        return CycNum(m, _map_coeffs(self.coeffs, n, m))
 
     def _common(self, other):
         n, m = self.conductor, other.conductor
@@ -283,26 +320,21 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse through the norm.
+
+        The norm N(x) = x * prod(sigma_t(x) for units t != 1) is a nonzero
+        rational, so x^-1 = prod(sigma_t(x)) / N(x).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return CycNum(1, (1 / self.coeffs[0],)).lift(self.conductor)
         n = self.conductor
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = list(self.coeffs), modulus
-        s0, s1 = [_ONE], [_ZERO]
-        while any(r1):
-            q, r = _fpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fpoly_sub(s0, _poly_mul_frac(q, s1))
-        # r0 is a nonzero constant: Phi_n is irreducible over Q
-        r0 = _fpoly_trim(r0)
-        if len(r0) != 1:
-            raise AssertionError("gcd with an irreducible modulus must be constant")
-        c = r0[0]
-        vec = [x / c for x in s0]
-        return CycNum(n, _reduce_vec(vec, n))
+        rest = CycNum.one().lift(n)
+        for t in range(2, n):
+            if math.gcd(t, n) == 1:
+                rest = rest * self.galois(t)
+        return rest / (self * rest).as_rational()
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -347,11 +379,7 @@ class CycNum:
             raise ValueError(f"galois exponent {t} not coprime to {n}")
         if t == 1:
             return self
-        vec = [_ZERO] * n
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec[(j * t) % n] += c
-        return CycNum(n, _reduce_vec(vec, n))
+        return CycNum(n, _map_coeffs(self.coeffs, n, n, t))
 
     def conj(self) -> "CycNum":
         """Complex conjugate, i.e. the Galois map zeta -> zeta^(-1)."""
@@ -403,139 +431,64 @@ class CycNum:
 
 
 # ---------------------------------------------------------------------------
-# Fraction polynomial helpers (inverse computation only)
-# ---------------------------------------------------------------------------
-
-def _fpoly_trim(p):
-    i = len(p)
-    while i > 0 and not p[i - 1]:
-        i -= 1
-    return p[:i]
-
-
-def _fpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    for i, c in enumerate(b):
-        a[i] -= c
-    return a
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _fpoly_divmod(a, b):
-    a = _fpoly_trim(list(a))
-    b = _fpoly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [], a
-    q = [_ZERO] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
-        if c:
-            f = c / lead
-            q[i - len(b) + 1] = f
-            for j in range(len(b)):
-                a[i - len(b) + 1 + j] -= f * b[j]
-    return q, _fpoly_trim(a)
-
-
-# ---------------------------------------------------------------------------
 # minimal-conductor descent (canonical form for hashing)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _descent_basis(n: int, m: int):
-    """Power basis of Q(zeta_m) written in the conductor-n basis; m | n."""
-    k = n // m
-    cols = []
-    for j in range(phi(m)):
-        vec = [0] * (j * k + 1)
-        vec[j * k] = 1
-        cols.append(tuple(_reduce_vec(vec, n)))
-    return tuple(cols)
+def _descent_projection(n: int, m: int):
+    """Left inverse of the lift from Q(zeta_m) to Q(zeta_n), m | n.
 
-
-def _solve_descent(n, m, coeffs):
-    """Express coeffs (conductor n) over the lifted basis of Q(zeta_m).
-
-    Returns the conductor-m coefficient tuple, or None when the element
-    does not lie in the subfield.
+    Returns (rows, den) in the layout of _monomial_images: row j lists the
+    (index, int) pairs that conductor-n coordinate j contributes to the
+    conductor-m coordinates, all over den.  It recovers the coordinates of
+    every element that lies in Q(zeta_m).  Built by inverting a block of
+    phi(m) independent rows of the lift matrix.
     """
-    cols = _descent_basis(n, m)
-    rows = phi(n)
-    w = len(cols)
-    # Gaussian elimination on the augmented [cols | coeffs] system.
-    mat = [[Fraction(cols[c][r]) for c in range(w)] + [coeffs[r]] for r in range(rows)]
-    piv_rows = []
-    r = 0
-    for c in range(w):
-        sel = None
-        for rr in range(r, rows):
-            if mat[rr][c]:
-                sel = rr
-                break
-        if sel is None:
-            return None
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for rr in range(rows):
-            if rr != r and mat[rr][c]:
-                f = mat[rr][c]
-                mat[rr] = [x - f * y for x, y in zip(mat[rr], mat[r])]
-        piv_rows.append(r)
-        r += 1
-    for rr in range(r, rows):
-        if mat[rr][w]:
-            return None
-    return tuple(mat[i][w] for i in range(w))
+    big, w = phi(n), phi(m)
+    # Gauss-Jordan on [L^T | I]; row j of L^T is the lift of zeta_m^j
+    mat = []
+    for j, row in enumerate(_monomial_images(m, n, 1)):
+        vec = [_ZERO] * (big + w)
+        for i, v in row:
+            vec[i] = Fraction(v)
+        vec[big + j] = _ONE
+        mat.append(vec)
+    pivots = []
+    for r, prow in enumerate(mat):
+        c = next(c for c in range(big) if prow[c])
+        inv = 1 / prow[c]
+        nonzero = [(i, x * inv) for i, x in enumerate(prow) if x]
+        for i, x in nonzero:
+            prow[i] = x
+        for row in mat:
+            f = row[c]
+            if row is not prow and f:
+                for i, x in nonzero:
+                    row[i] -= f * x
+        pivots.append(c)
+    # the pivot columns of L^T now read as the identity, so the right half
+    # is the transposed inverse of the pivot block of L
+    den = math.lcm(*(x.denominator for vec in mat for x in vec[big:]))
+    rows = [()] * big
+    for c, vec in zip(pivots, mat):
+        rows[c] = tuple((i, int(x * den)) for i, x in enumerate(vec[big:]) if x)
+    return tuple(rows), den
 
 
 def _descend_to_minimal(n, coeffs):
     """Canonical (conductor, coeffs) pair with the smallest possible conductor."""
-    changed = True
-    while changed:
-        changed = False
-        for p in _prime_factors(n):
-            m = n // p
-            # the element lies in Q(zeta_m) iff it is fixed by every
-            # automorphism zeta -> zeta^t with t = 1 mod m
-            fixed = True
-            for t in range(1 + m, n, m):
-                if math.gcd(t, n) != 1:
-                    continue
-                if _galois_raw(n, coeffs, t) != coeffs:
-                    fixed = False
-                    break
-            if not fixed:
-                continue
-            sol = _solve_descent(n, m, coeffs)
-            if sol is None:
-                continue
-            n, coeffs = m, sol
-            changed = True
-            break
+    for p in _prime_factors(n):
+        m = n // p
+        # the element lies in Q(zeta_m) iff it is fixed by every
+        # automorphism zeta -> zeta^t with t = 1 mod m
+        if all(
+            _map_coeffs(coeffs, n, n, t) == coeffs
+            for t in range(1 + m, n, m)
+            if math.gcd(t, n) == 1
+        ):
+            rows, den = _descent_projection(n, m)
+            return _descend_to_minimal(m, _apply_rows(rows, den, coeffs, phi(m)))
     return n, coeffs
-
-
-def _galois_raw(n, coeffs, t):
-    vec = [_ZERO] * n
-    for j, c in enumerate(coeffs):
-        if c:
-            vec[(j * t) % n] += c
-    return tuple(_reduce_vec(vec, n))
 
 
 # ---------------------------------------------------------------------------

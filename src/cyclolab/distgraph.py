@@ -301,7 +301,9 @@ def _admissible_shortest(g: DistanceGraph, p: int, u: int, prefix, scope: str) -
     return True
 
 
-def _check_path_length(k: int, cap: int) -> None:
+def _check_path_args(k: int, cap: int, vertex_scope: str) -> None:
+    if vertex_scope not in ("all", "neighbors"):
+        raise ValueError("vertex_scope must be 'all' or 'neighbors'")
     if k < 1:
         raise ValueError("path length must be at least 1")
     if k > cap:
@@ -366,13 +368,11 @@ def count_irredundant_paths(
     vertices, "neighbors" only the start's neighbours).  With collect,
     returns (count, list of PathRecords).
     """
-    _check_path_length(k, cap)
+    _check_path_args(k, cap, vertex_scope)
     if not (0 <= v < g.n and 0 <= w < g.n):
         raise ValueError("vertex index out of range")
     if v == w:
         raise ValueError("endpoints must differ")
-    if vertex_scope not in ("all", "neighbors"):
-        raise ValueError("vertex_scope must be 'all' or 'neighbors'")
     counts, records = _path_census(
         g, v, k, shortest_only, vertex_scope, collect, target=w
     )
@@ -389,7 +389,7 @@ def irredundant_path_census(
     cap: int = PATH_CAP,
 ) -> dict:
     """Endpoint -> count of irredundant k-edge paths from source."""
-    _check_path_length(k, cap)
+    _check_path_args(k, cap, vertex_scope)
     if not 0 <= source < g.n:
         raise ValueError("vertex index out of range")
     counts, _ = _path_census(
@@ -510,7 +510,7 @@ def analyze(ps: PointSet, mode: str, k: int = 2, cap: int = PATH_CAP) -> Analysi
     the continuation floor apply unconditionally, and the peeling
     guarantee is checked whenever there is at least one edge.
     """
-    _check_path_length(k, cap)
+    _check_path_args(k, cap, "all")
     g = build_graph(ps, mode)
     n = g.n
     e = g.edge_count

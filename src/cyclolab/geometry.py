@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum, _reduce_vec
+from .cyclotomic import CycNum, _map_coeffs
 
 _F0 = Fraction(0)
 
@@ -66,18 +66,10 @@ def lift_matrix(mat, old_conductor, new_conductor):
     """Re-express every matrix entry in a larger conductor."""
     if new_conductor == old_conductor:
         return mat
-    k = new_conductor // old_conductor
-    out = []
-    for row in mat:
-        new_row = []
-        for entry in row:
-            vec = [_F0] * new_conductor
-            for idx, c in enumerate(entry):
-                if c:
-                    vec[idx * k] = c
-            new_row.append(tuple(_reduce_vec(vec, new_conductor)))
-        out.append(new_row)
-    return out
+    return [
+        [_map_coeffs(entry, old_conductor, new_conductor) for entry in row]
+        for row in mat
+    ]
 
 
 def translated_union_matrix(mat, shifts):

@@ -13,7 +13,7 @@ import json
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum, _roots_index, root_of_unity
+from .cyclotomic import CycNum, _roots_index, phi, root_of_unity
 from .distgraph import AnalysisReport
 from .mann import RelationTuple
 from .pointsets import PointSet
@@ -28,7 +28,14 @@ def fraction_to_str(f: Fraction) -> str:
 def str_to_fraction(s) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
-    return Fraction(s)
+    f = Fraction(s)
+    if str(f) != s:
+        raise ValueError(f"rational {s!r} is not in lowest-terms form {str(f)!r}")
+    return f
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def cycnum_to_obj(x: CycNum) -> dict:
@@ -65,18 +72,30 @@ def pointset_to_obj(ps: PointSet) -> dict:
 def obj_to_pointset(d) -> PointSet:
     _expect(d, "pointset", ("conductor", "points"))
     conductor = d["conductor"]
-    if not isinstance(conductor, int) or conductor < 1:
+    if not _is_int(conductor) or conductor < 1:
         raise ValueError("conductor must be a positive integer")
     prov = d.get("provenance", {})
+    if not isinstance(prov, dict):
+        raise ValueError("provenance must be an object")
+    params = prov.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("provenance params must be an object")
+    seed = prov.get("seed", 0)
+    if not _is_int(seed):
+        raise ValueError("seed must be an integer")
+    rows = d["points"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("points must be a list of coefficient lists")
+    if any(len(row) != phi(conductor) for row in rows):
+        raise ValueError(f"every point needs phi({conductor}) = {phi(conductor)} coefficients")
     points = tuple(
-        CycNum(conductor, tuple(str_to_fraction(c) for c in row))
-        for row in d["points"]
+        CycNum(conductor, tuple(str_to_fraction(c) for c in row)) for row in rows
     )
     return PointSet(
         conductor=conductor,
         points=points,
-        provenance={"name": prov.get("name", ""), "params": prov.get("params", {})},
-        seed=prov.get("seed", 0),
+        provenance={"name": prov.get("name", ""), "params": params},
+        seed=seed,
     )
 
 

@@ -1,6 +1,7 @@
 """Command line behaviour plus serialization round trips."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -324,3 +325,34 @@ def test_malformed_document_via_cli_exits_2(tmp_path, capsys):
     bad.write_text('{"format_version": 1, "kind": "pointset"}', encoding="utf-8")
     assert run(["analyze", "--in", bad]) == 2
     assert "missing keys" in capsys.readouterr().err
+
+
+_HAND_POINTSET = {
+    "format_version": 1,
+    "kind": "pointset",
+    "conductor": 4,
+    "provenance": {"name": "hand", "params": {}, "seed": 0},
+    "points": [["0", "0"], ["1", "0"], ["0", "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"points": 5},
+        {"provenance": {"name": "hand", "params": [], "seed": 0}},
+        {"points": [["0", "0"], ["1", "0"], ["0", "1", "0"]]},
+        {"conductor": True, "points": [["0"], ["1"]]},
+        {"points": [["0", "0"], ["1.5", "0"], ["0", "1"]]},
+        {"provenance": {"name": "hand", "params": {}, "seed": "x"}},
+    ],
+    ids=["points-int", "params-list", "row-length", "conductor-bool", "decimal", "seed-str"],
+)
+def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, change):
+    serialize.obj_to_pointset(_HAND_POINTSET)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(_HAND_POINTSET, **change)), encoding="utf-8")
+    assert run(["analyze", "--in", bad, "--k", 1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Ring layer: canonical forms, arithmetic, classification."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,39 @@ def test_galois_maps():
     assert x.galois(5).galois(5) == x.galois(25 % 12)
     with pytest.raises(ValueError):
         z.galois(4)
+
+
+@pytest.mark.parametrize("n", [12, 60, 84, 420])
+def test_kernel_maps_match_longform_at_workload_conductors(n):
+    rng = random.Random(n)
+    units = [t for t in range(2, n) if math.gcd(t, n) == 1]
+    k = 420 // n
+    for trial in range(3):
+        x = CycNum(
+            n,
+            [
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.4 else 0
+                for _ in range(phi(n))
+            ],
+        )
+        vec = oracles.LongForm.from_cyc(x).vec
+        for t in [n - 1] + rng.sample(units, 3):
+            moved = [Fraction(0)] * n
+            for j, c in enumerate(vec):
+                moved[j * t % n] += c
+            expected = oracles.LongForm(n, moved).reduced()
+            assert x.galois(t).coeffs == expected
+            if t == n - 1:
+                assert x.conj().coeffs == expected
+        spread = [Fraction(0)] * 420
+        for j, c in enumerate(vec):
+            spread[j * k] = c
+        big = x.lift(420)
+        assert big.coeffs == oracles.LongForm(420, spread).reduced()
+        assert big.min_conductor() == x.min_conductor()
+        assert hash(big) == hash(x)
+        if x and (n != 420 or trial == 0):
+            assert x * x.inverse() == 1
 
 
 def test_roots_of_unity_basics():

@@ -270,6 +270,14 @@ def test_path_validation():
     with pytest.raises(ValueError):
         count_irredundant_paths(g, 0, 1, 2, vertex_scope="nearby")
     with pytest.raises(ValueError):
+        irredundant_path_census(
+            build_graph(square_grid(3, 3), "rational"),
+            0,
+            2,
+            shortest_only=True,
+            vertex_scope="nearby",
+        )
+    with pytest.raises(ValueError):
         irredundant_path_census(g, 5, 2)
 
 
