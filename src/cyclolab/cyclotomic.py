@@ -83,7 +83,12 @@ def cyclotomic_polynomial(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def phi(n: int) -> int:
     """Euler totient, i.e. the degree of Q(zeta_n)."""
-    return len(cyclotomic_polynomial(n)) - 1
+    if n < 1:
+        raise ValueError("conductor must be a positive integer")
+    out = n
+    for p in _prime_factors(n):
+        out = out // p * (p - 1)
+    return out
 
 
 @lru_cache(maxsize=None)

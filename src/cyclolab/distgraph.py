@@ -18,7 +18,7 @@ from typing import Optional
 from . import geometry
 from .cyclotomic import CycNum, RationalAngleForm, classify_rational_angle, real_sign
 from .errors import CapExceeded
-from .mann import SubsetSumTracker, relation_count_bound, _vneg
+from .mann import SubsetSumTracker, pack_vectors, relation_count_bound
 from .pointsets import PointSet
 
 PATH_CAP = 8
@@ -87,26 +87,20 @@ class DistanceGraph:
             self._sq[key] = out
         return out
 
-    def edge_vector(self, a: int, b: int):
-        """Coefficient tuple of points[b] - points[a] along an edge.
+    def edge_vector(self, a: int, b: int) -> int:
+        """Packed int of points[b] - points[a] along an edge (see pack_vectors).
 
-        Integer-valued entries are stored as plain ints; the subset-sum
-        bookkeeping spends most of its time adding and hashing these
-        tuples and int arithmetic is several times cheaper.
+        All edges are packed once per graph with depth n: a census stack
+        is an irredundant path, so its vertices are distinct, it has at
+        most n - 1 edges, and every tested sum has at most n terms.
         """
         if self._evec is None:
             pts = self.pointset.points
-            ev = {}
-            for (i, j) in self.edges:
-                d = tuple(
-                    int(c) if c.denominator == 1 else c
-                    for c in (
-                        x - y for x, y in zip(pts[j].coeffs, pts[i].coeffs)
-                    )
-                )
-                ev[(i, j)] = d
-                ev[(j, i)] = _vneg(d)
-            self._evec = ev
+            packed = pack_vectors(((pts[j] - pts[i]).coeffs for i, j in self.edges), self.n)
+            self._evec = {}
+            for (i, j), p in zip(self.edges, packed):
+                self._evec[i, j] = p
+                self._evec[j, i] = -p
         return self._evec[(a, b)]
 
 
@@ -339,10 +333,8 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
 
 
 def _make_record(g, path, shortest):
-    conductor = g.pointset.conductor
-    vecs = tuple(
-        CycNum(conductor, g.edge_vector(a, b)) for a, b in zip(path, path[1:])
-    )
+    pts = g.pointset.points
+    vecs = tuple(pts[b] - pts[a] for a, b in zip(path, path[1:]))
     return PathRecord(
         vertices=tuple(path), edge_vectors=vecs, irredundant=True, shortest=shortest
     )

@@ -8,6 +8,9 @@ order dividing the product of the primes up to k (Mann's bound); for two
 minimal representations of the same nonzero target, the same conclusion
 holds with primes up to the combined length (the extension bound).  Both
 bounds are checked here by exact root-of-unity arithmetic, never floats.
+Every "does some subset sum to zero?" test runs on Kronecker-packed
+ints: `pack_vectors` maps each coefficient vector to one Python int so
+that the sums it is asked about vanish exactly when the vectors' do.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional
 
-from .cyclotomic import CycNum, root_of_unity, unit_roots
+from .cyclotomic import CycNum, _to_int_scaled, root_of_unity, unit_roots
 from .errors import CapExceeded, WorkBudgetExceeded
 
 SUBSUM_CAP = 12
 WORK_BUDGET = 10 ** 8
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,27 +120,33 @@ def chebyshev_bound_range(lo: int, hi: int):
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (coefficient tuples in a fixed conductor)
+# subset sums on Kronecker-packed ints
 # ---------------------------------------------------------------------------
 
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def pack_vectors(vectors, depth: int) -> list:
+    """Kronecker images of equal-length rational vectors, as Python ints.
 
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vneg(a):
-    return tuple(-x for x in a)
-
-
-def _vscale(a, q):
-    return tuple(x * q for x in a)
+    All coordinates are scaled by one common denominator to ints, then a
+    vector v maps to P(v) = sum(v_i * B**i), where B = 2 * depth * M + 1
+    and M is the largest scaled |coordinate|.  P is
+    additive, and a sum of at most `depth` images, each signed +1 or -1,
+    is 0 exactly when the same signed sum of the vectors is 0: every
+    coordinate of that sum lies within (B - 1) / 2 of zero, so its
+    balanced base-B digits are unique.  Callers pass as depth the most
+    terms any one of their zero tests combines.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    vectors = [tuple(v) for v in vectors]
+    width = len(vectors[0]) if vectors else 1
+    ints, _ = _to_int_scaled([c for v in vectors for c in v])
+    base = 2 * depth * max(map(abs, ints), default=0) + 1
+    powers = [base ** i for i in range(width)]
+    return [sum(map(mul, ints[s : s + width], powers)) for s in range(0, len(ints), width)]
 
 
 class SubsetSumTracker:
-    """Multiset of all nonempty-subset sums of a stack of vectors.
+    """Multiset of all nonempty-subset sums of a stack of packed vectors.
 
     Supports O(1) detection of whether pushing a new vector would create
     a vanishing subset: that happens iff the vector is zero or its
@@ -149,28 +157,26 @@ class SubsetSumTracker:
     def __init__(self):
         self._sums = Counter()
         self._stack = []
-        self.total = None
+        self.total = 0
 
     def __len__(self):
         return len(self._stack)
 
     def conflicts(self, v) -> bool:
         """True iff pushing v would create a vanishing nonempty subset."""
-        if not any(v):
-            return True
-        return self._sums[_vneg(v)] > 0
+        return not v or self._sums[-v] > 0
 
     def neg_count(self, v) -> int:
         """How many current subset sums equal -v."""
-        return self._sums[_vneg(v)]
+        return self._sums[-v]
 
     def push(self, v):
         adds = [(v, 1)]
         for s, mult in list(self._sums.items()):
-            adds.append((_vadd(s, v), mult))
+            adds.append((s + v, mult))
         for val, m in adds:
             self._sums[val] += m
-        self.total = v if self.total is None else _vadd(self.total, v)
+        self.total += v
         self._stack.append(adds)
 
     def pop(self):
@@ -181,10 +187,7 @@ class SubsetSumTracker:
                 self._sums[val] = left
             else:
                 del self._sums[val]
-        if self._stack:
-            self.total = _vsub(self.total, adds[0][0])
-        else:
-            self.total = None
+        self.total -= adds[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,7 @@ def _item_vectors(roots, coeffs):
     conductor = 1
     for r in roots:
         conductor = math.lcm(conductor, r.conductor)
-    return [tuple((r.lift(conductor) * c).coeffs) for r, c in zip(roots, coeffs)]
+    return [(r.lift(conductor) * c).coeffs for r, c in zip(roots, coeffs)]
 
 
 def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
@@ -266,14 +269,15 @@ def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
     k = len(t)
     if k > cap:
         raise CapExceeded(f"subset scan capped at {cap} terms, got {k}")
-    vecs = _item_vectors(t.roots, t.coeffs)
+    # a tested subset has at most k terms
+    vecs = pack_vectors(_item_vectors(t.roots, t.coeffs), k)
     entries = []
     for i, v in enumerate(vecs):
         fresh = [((i,), v)]
         for idx, s in entries:
-            fresh.append((idx + (i,), _vadd(s, v)))
+            fresh.append((idx + (i,), s + v))
         for idx, s in fresh:
-            if len(idx) < k and not any(s):
+            if len(idx) < k and not s:
                 return idx
         entries.extend(fresh)
     return None
@@ -326,7 +330,8 @@ def enumerate_minimal_vanishing_sums(
 
     pairs = [(e, c) for e in range(m) for c in cs]
     roots = unit_roots(m)
-    values = [_vscale(roots[e].coeffs, c) for e, c in pairs]
+    # every zero test combines at most the k terms of one candidate
+    values = pack_vectors([(roots[e] * c).coeffs for e, c in pairs], k)
 
     tracker = SubsetSumTracker()
     chosen = []
@@ -336,9 +341,7 @@ def enumerate_minimal_vanishing_sums(
         if remaining == 1:
             for idx in range(min_idx, len(pairs)):
                 v = values[idx]
-                if tracker.total is None:
-                    continue
-                if any(_vadd(tracker.total, v)):
+                if tracker.total + v:
                     continue
                 if tracker.neg_count(v) != 1:
                     continue
@@ -433,59 +436,48 @@ def enumerate_target_relations(
         raise WorkBudgetExceeded(estimate, budget)
 
     conductor = math.lcm(a.conductor, m)
-    avec = tuple(a.lift(conductor).coeffs)
-    rvecs = [tuple(r.lift(conductor).coeffs) for r in unit_roots(m)]
-    index = {rv: e for e, rv in enumerate(rvecs)}
-    values = [[_vscale(rv, c) for c in cs] for rv in rvecs]
+    roots = [r.lift(conductor) for r in unit_roots(m)]
+    terms = [(e, c) for e in range(m) for c in cs]
+    # the closing test combines the target, k - 1 prefix terms and c*zeta^e
+    apack, *tpacks = pack_vectors(
+        [a.lift(conductor).coeffs] + [(roots[e] * c).coeffs for e, c in terms], k + 1
+    )
+    # terms with equal values share a closing list; each closes with its own
+    # last exponent, so the list order does not change the recorded witnesses
+    closing = {}
+    for term, p in zip(terms, tpacks):
+        closing.setdefault(p, []).append(term)
 
     found = {}
+    tracker = SubsetSumTracker()
+    prefix = []
 
-    def record(exponents, coeffs):
-        if exponents not in found:
-            found[exponents] = coeffs
+    def close():
+        residual = apack - tracker.total
+        if not residual:
+            return
+        # any proper subset containing the last term would sum to zero
+        # iff -residual already occurs among the prefix subset sums
+        if tracker.neg_count(residual) != 0:
+            return
+        for e, c in closing.get(residual, ()):
+            exps = tuple(e0 for e0, _ in prefix) + (e,)
+            found.setdefault(exps, tuple(c0 for _, c0 in prefix) + (c,))
 
-    if k == 1:
-        for c in cs:
-            u = _vscale(avec, 1 / c)
-            e = index.get(u)
-            if e is not None:
-                record((e,), (c,))
-    else:
-        tracker = SubsetSumTracker()
-        prefix = []
+    def extend(depth):
+        if depth == k - 1:
+            close()
+            return
+        for term, v in zip(terms, tpacks):
+            if tracker.conflicts(v):
+                continue
+            tracker.push(v)
+            prefix.append(term)
+            extend(depth + 1)
+            prefix.pop()
+            tracker.pop()
 
-        def close():
-            residual = _vsub(avec, tracker.total)
-            if not any(residual):
-                return
-            # any proper subset containing the last term would sum to zero
-            # iff -residual already occurs among the prefix subset sums
-            if tracker.neg_count(residual) != 0:
-                return
-            for c in cs:
-                u = _vscale(residual, 1 / c)
-                e = index.get(u)
-                if e is not None:
-                    exps = tuple(e0 for e0, _ in prefix) + (e,)
-                    record(exps, tuple(c0 for _, c0 in prefix) + (c,))
-
-        def extend(depth):
-            if depth == k - 1:
-                close()
-                return
-            for e in range(m):
-                row = values[e]
-                for ci, c in enumerate(cs):
-                    v = row[ci]
-                    if tracker.conflicts(v):
-                        continue
-                    tracker.push(v)
-                    prefix.append((e, c))
-                    extend(depth + 1)
-                    prefix.pop()
-                    tracker.pop()
-
-        extend(0)
+    extend(0)
 
     out = []
     for exps in sorted(found):

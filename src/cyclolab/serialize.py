@@ -9,12 +9,13 @@ trailing newline closes each file.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 from .cyclotomic import CycNum, _roots_index, phi, root_of_unity
-from .distgraph import AnalysisReport
+from .distgraph import MODES, AnalysisReport
 from .mann import RelationTuple
 from .pointsets import PointSet
 
@@ -83,9 +84,16 @@ def obj_to_pointset(d) -> PointSet:
     seed = prov.get("seed", 0)
     if not _is_int(seed):
         raise ValueError("seed must be an integer")
+    name = prov.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError("provenance name must be a string")
     rows = d["points"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("points must be a list of coefficient lists")
+    # phi(n) >= sqrt(n / 2), so the row length bounds the conductor and
+    # the factoring inside phi costs no more than the file's length
+    if rows and conductor > 2 * len(rows[0]) ** 2:
+        raise ValueError(f"conductor {conductor} needs more than {len(rows[0])} coefficients a point")
     if any(len(row) != phi(conductor) for row in rows):
         raise ValueError(f"every point needs phi({conductor}) = {phi(conductor)} coefficients")
     points = tuple(
@@ -94,7 +102,7 @@ def obj_to_pointset(d) -> PointSet:
     return PointSet(
         conductor=conductor,
         points=points,
-        provenance={"name": prov.get("name", ""), "params": params},
+        provenance={"name": name, "params": params},
         seed=seed,
     )
 
@@ -200,57 +208,55 @@ def report_to_obj(r: AnalysisReport) -> dict:
     }
 
 
-_REPORT_KEYS = (
-    "provenance_name",
-    "seed",
-    "n",
-    "mode",
-    "k",
-    "conductor",
-    "edge_count",
-    "excess_exponent",
-    "max_collinear",
-    "peel_threshold",
-    "peeled_n",
-    "peeled_edge_count",
-    "peeled_min_degree",
-    "path_pair_max",
-    "path_pair_min",
-    "path_source_min",
-    "two_path_noncollinear_max",
-    "bounds",
-    "ceilings",
-    "all_ceilings_hold",
-)
+_REPORT_KEYS = tuple(f.name for f in dataclasses.fields(AnalysisReport))
+
+
+def _is_ceiling(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and sorted(entry) == ["applicable", "holds"]
+        and isinstance(entry["applicable"], bool)
+        and isinstance(entry["holds"], (bool, type(None)))
+    )
+
+
+# every other report field is a count: an int that is not a bool
+_REPORT_CHECKS = {
+    "provenance_name": lambda x: isinstance(x, str),
+    "mode": lambda x: x in MODES,
+    "excess_exponent": lambda x: x is None or isinstance(x, float),
+    "peel_threshold": lambda x: isinstance(x, str),
+    "peeled_min_degree": lambda x: x is None or _is_int(x),
+    "path_source_min": lambda x: x is None or _is_int(x),
+    "bounds": lambda x: (
+        isinstance(x, dict)
+        and sorted(x) == sorted(_BOUND_KEYS)
+        and all(_is_int(x[key]) for key in _BOUND_KEYS[:3])
+        and isinstance(x["continuation_discounted"], float)
+    ),
+    "ceilings": lambda x: (
+        isinstance(x, dict)
+        and sorted(x) == sorted(_CSV_CEILINGS)
+        and all(map(_is_ceiling, x.values()))
+    ),
+    "all_ceilings_hold": lambda x: isinstance(x, bool),
+}
 
 
 def obj_to_report(d) -> AnalysisReport:
     _expect(d, "analysis_report", _REPORT_KEYS)
-    return AnalysisReport(
-        provenance_name=d["provenance_name"],
-        seed=d["seed"],
-        n=d["n"],
-        mode=d["mode"],
-        k=d["k"],
-        conductor=d["conductor"],
-        edge_count=d["edge_count"],
-        excess_exponent=d["excess_exponent"],
-        max_collinear=d["max_collinear"],
-        peel_threshold=str_to_fraction(d["peel_threshold"]),
-        peeled_n=d["peeled_n"],
-        peeled_edge_count=d["peeled_edge_count"],
-        peeled_min_degree=d["peeled_min_degree"],
-        path_pair_max=d["path_pair_max"],
-        path_pair_min=d["path_pair_min"],
-        path_source_min=d["path_source_min"],
-        two_path_noncollinear_max=d["two_path_noncollinear_max"],
-        bounds=dict(d["bounds"]),
-        ceilings={k: dict(v) for k, v in d["ceilings"].items()},
-        all_ceilings_hold=d["all_ceilings_hold"],
-    )
+    bad = [key for key in _REPORT_KEYS if not _REPORT_CHECKS.get(key, _is_int)(d[key])]
+    if bad:
+        raise ValueError(f"report fields of the wrong type: {', '.join(bad)}")
+    fields = {key: d[key] for key in _REPORT_KEYS}
+    fields["peel_threshold"] = str_to_fraction(d["peel_threshold"])
+    fields["bounds"] = dict(d["bounds"])
+    fields["ceilings"] = {k: dict(v) for k, v in d["ceilings"].items()}
+    return AnalysisReport(**fields)
 
 
 _CSV_CEILINGS = ("relation_count", "two_path", "peeling", "continuation")
+_BOUND_KEYS = ("relation_count", "two_path", "continuation", "continuation_discounted")
 
 REPORT_CSV_HEADER = [
     "format_version",

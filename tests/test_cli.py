@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cyclolab import distgraph, erdos_purdy, geometry, serialize
+from cyclolab import cyclotomic, distgraph, erdos_purdy, geometry, serialize
 from cyclolab.cli import main
 
 
@@ -345,14 +345,55 @@ _HAND_POINTSET = {
         {"conductor": True, "points": [["0"], ["1"]]},
         {"points": [["0", "0"], ["1.5", "0"], ["0", "1"]]},
         {"provenance": {"name": "hand", "params": {}, "seed": "x"}},
+        {"provenance": {"name": 5, "params": {}, "seed": 0}},
+        {"conductor": 30030, "points": [["0"]]},
+        {"conductor": 10 ** 18 + 9, "points": [["0"]]},
     ],
-    ids=["points-int", "params-list", "row-length", "conductor-bool", "decimal", "seed-str"],
+    ids=[
+        "points-int", "params-list", "row-length", "conductor-bool", "decimal",
+        "seed-str", "name-int", "conductor-30030", "conductor-huge",
+    ],
 )
-def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, change):
+def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, monkeypatch, change):
     serialize.obj_to_pointset(_HAND_POINTSET)
+    real = cyclotomic.cyclotomic_polynomial
+
+    def small_only(n):
+        # a declared conductor must be rejected before any work that grows with it
+        if n > 1000:
+            raise RuntimeError(f"cyclotomic_polynomial({n}) reached")
+        return real(n)
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", small_only)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(_HAND_POINTSET, **change)), encoding="utf-8")
     assert run(["analyze", "--in", bad, "--k", 1]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"ceilings": []},
+        {"bounds": 5},
+        {"ceilings": {"x": 1}},
+        {"seed": "x"},
+        {"mode": 7},
+        {"n": True},
+    ],
+    ids=["ceilings-list", "bounds-int", "ceilings-unknown", "seed-str", "mode-int", "n-bool"],
+)
+def test_malformed_report_via_cli_exits_2(ep3, tmp_path, capsys, change):
+    rep_path = tmp_path / "rep.json"
+    assert run(["analyze", "--in", ep3, "--mode", "unit", "--out", rep_path]) == 0
+    doc = json.loads(rep_path.read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(doc, **change)), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["report", "--in", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err

@@ -20,6 +20,7 @@ from cyclolab import (
     enumerate_target_relations,
     extension_modulus,
     mann_modulus,
+    pack_vectors,
     primes_upto,
     relation_count_bound,
     root_of_unity,
@@ -93,21 +94,25 @@ def test_chebyshev_certificate_is_integer_based():
 # ---------------------------------------------------------------------------
 
 def test_tracker_basics():
+    # every zero test below combines at most three vectors
+    zero, x, y, xy, neg_xy, neg_x, diag = pack_vectors(
+        [(0, 0), (1, 0), (0, 2), (1, 2), (-1, -2), (-1, 0), (1, 1)], 3
+    )
     t = SubsetSumTracker()
     assert len(t) == 0
-    assert t.conflicts((0, 0))  # the zero vector always conflicts
-    t.push((1, 0))
-    t.push((0, 2))
-    assert t.total == (1, 2)
-    assert t.conflicts((-1, -2))
-    assert t.conflicts((-1, 0))
-    assert not t.conflicts((1, 1))
-    assert t.neg_count((-1, -2)) == 1
+    assert t.conflicts(zero)  # the zero vector always conflicts
+    t.push(x)
+    t.push(y)
+    assert t.total == xy
+    assert t.conflicts(neg_xy)
+    assert t.conflicts(neg_x)
+    assert not t.conflicts(diag)
+    assert t.neg_count(neg_xy) == 1
     t.pop()
-    assert t.total == (1, 0)
-    assert not t.conflicts((-1, -2))
+    assert t.total == x
+    assert not t.conflicts(neg_xy)
     t.pop()
-    assert t.total is None
+    assert t.total == 0
 
 
 @given(
@@ -121,7 +126,9 @@ def test_tracker_matches_brute_subset_sums(vectors):
 
     t = SubsetSumTracker()
     stacked = []
-    for v in vectors:
+    # a tested subset plus the new vector has at most len(vectors) terms
+    packed = pack_vectors(vectors, len(vectors))
+    for v, p in zip(vectors, packed):
         # the incremental verdict must agree with a from-scratch subset scan
         expected = not any(v)
         if not expected:
@@ -136,12 +143,37 @@ def test_tracker_matches_brute_subset_sums(vectors):
                         break
                 if expected:
                     break
-        assert t.conflicts(v) == expected
-        t.push(v)
+        assert t.conflicts(p) == expected
+        t.push(p)
         stacked.append(v)
     for _ in vectors:
         t.pop()
-    assert len(t) == 0 and t.total is None
+    assert len(t) == 0 and t.total == 0
+
+
+_PACK_COORDS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+
+
+@given(
+    st.lists(st.tuples(_PACK_COORDS, _PACK_COORDS), min_size=1, max_size=6),
+    st.integers(1, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_pack_vectors_zero_iff_vector_sum_zero(vectors, depth):
+    from itertools import combinations, product
+
+    packed = pack_vectors(vectors, depth)
+    assert len(packed) == len(vectors)
+    # every selection of at most depth vectors, each signed +1 or -1
+    for size in range(1, min(depth, len(vectors)) + 1):
+        for picked in combinations(range(len(vectors)), size):
+            for signs in product((1, -1), repeat=size):
+                vector_sum = [
+                    sum(sign * Fraction(vectors[i][axis]) for i, sign in zip(picked, signs))
+                    for axis in range(2)
+                ]
+                packed_sum = sum(sign * packed[i] for i, sign in zip(picked, signs))
+                assert (packed_sum == 0) == (vector_sum == [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +362,7 @@ def test_target_counts_are_ordered_tuples():
         (2, 8, (ONE, -ONE), (0, 2)),
         (3, 4, (ONE,), (0, 1, 1)),
         (2, 5, (ONE, Fraction(2)), (0, 2)),
+        (1, 6, (ONE, -ONE, Fraction(1, 2)), (1,)),
     ],
 )
 def test_target_matches_brute_oracle(k, m, coeffs, target_exps):
