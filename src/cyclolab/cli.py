@@ -146,7 +146,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if hasattr(args, "per_line"):
         cfg.per_line = args.per_line
     if hasattr(args, "spacing"):
-        cfg.spacing = Fraction(args.spacing)
+        try:
+            cfg.spacing = Fraction(args.spacing)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad spacing {args.spacing!r}: {exc}")
     if hasattr(args, "coeffs"):
         cfg.coeffs = _parse_coeffs(args.coeffs)
     if hasattr(args, "out"):
@@ -212,6 +215,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_mann(cfg: RunConfig) -> int:
+    if cfg.target_scan:
+        mann.charge_target_scan(cfg.k, cfg.modulus, cfg.coeffs, cfg.budget)
     relations = mann.enumerate_minimal_vanishing_sums(
         cfg.k, cfg.modulus, cfg.coeffs, budget=cfg.budget
     )

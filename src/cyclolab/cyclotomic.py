@@ -137,6 +137,32 @@ def _to_int_scaled(coeffs):
 
 
 @lru_cache(maxsize=None)
+def _power_table(m: int) -> tuple:
+    """x^e mod Phi_m for e = 0 .. m-1, as int tuples of length phi(m).
+
+    Entry e is the power-basis form of zeta_m^e.  Built one
+    multiplication by x at a time.
+    """
+    pc = cyclotomic_polynomial(m)
+    deg = len(pc) - 1
+    low = [(i, c) for i, c in enumerate(pc[:deg]) if c]
+    table = []
+    for e in range(deg):
+        power = [0] * deg
+        power[e] = 1
+        table.append(tuple(power))
+    for _ in range(deg, m):
+        # multiply by x; x^deg reduces to -(Phi_m - x^deg)
+        lead = power.pop()
+        power.insert(0, 0)
+        if lead:
+            for i, c in low:
+                power[i] -= lead * c
+        table.append(tuple(power))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
 def _monomial_images(n: int, m: int, t: int) -> tuple:
     """Images of the power basis of Q(zeta_n) under zeta_n -> zeta_m^(t*m/n).
 
@@ -144,33 +170,33 @@ def _monomial_images(n: int, m: int, t: int) -> tuple:
     zeta_n^j, reduced mod Phi_m.  With t = 1 this is the lift into
     Q(zeta_m); with m = n it is the Galois map zeta -> zeta^t.
     """
-    pc = cyclotomic_polynomial(m)
-    deg = len(pc) - 1
+    powers = _power_table(m)
     step = t * (m // n) % m
-    exps = [j * step % m for j in range(phi(n))]
-    reduced = {e: ((e, 1),) for e in exps if e < deg}
-    # x^e mod Phi_m for the larger exponents, one multiplication by x at a time
-    power = [0] * (deg - 1) + [1]
-    for e in range(deg, max(exps) + 1):
-        lead = power[-1]
-        power = [0] + power[:-1]
-        if lead:
-            for i in range(deg):
-                power[i] -= lead * pc[i]
-        reduced[e] = tuple((i, v) for i, v in enumerate(power) if v)
-    return tuple(reduced[e] for e in exps)
+    return tuple(
+        tuple((i, v) for i, v in enumerate(powers[j * step % m]) if v) for j in range(phi(n))
+    )
 
 
-def _apply_rows(rows, den, coeffs, width):
-    """sum(coeffs[j] * rows[j]) / den as a tuple of `width` Fractions."""
-    ints, d = _to_int_scaled(coeffs)
+def _apply_int_rows(rows, ints, width) -> list:
+    """sum(ints[j] * rows[j]) as a list of `width` ints."""
     acc = [0] * width
     for c, row in zip(ints, rows):
         if c:
             for i, v in row:
                 acc[i] += c * v
+    return acc
+
+
+def _apply_rows(rows, den, coeffs, width):
+    """sum(coeffs[j] * rows[j]) / den as a tuple of `width` Fractions."""
+    ints, d = _to_int_scaled(coeffs)
     d *= den
-    return tuple(Fraction(a, d) if a else _ZERO for a in acc)
+    return tuple(Fraction(a, d) if a else _ZERO for a in _apply_int_rows(rows, ints, width))
+
+
+def _int_product(a, b, n):
+    """Product of two int coefficient vectors in Q(zeta_n), reduced mod Phi_n."""
+    return _reduce_vec(_poly_mul_int(a, b), n)
 
 
 def _map_coeffs(coeffs, n, m, t=1):
@@ -317,10 +343,9 @@ class CycNum:
         # integer convolution with the denominators pulled out front
         av, ad = _to_int_scaled(a.coeffs)
         bv, bd = _to_int_scaled(b.coeffs)
-        conv = _poly_mul_int(av, bv)
-        red = _reduce_vec(conv, a.conductor)
         den = ad * bd
-        return CycNum(a.conductor, tuple(Fraction(c, den) for c in red))
+        prod = _int_product(av, bv, a.conductor)
+        return CycNum(a.conductor, tuple(Fraction(c, den) for c in prod))
 
     __rmul__ = __mul__
 
@@ -532,13 +557,17 @@ def root_of_unity(e: int, n: int) -> CycNum:
 @lru_cache(maxsize=None)
 def unit_roots(m: int) -> tuple:
     """All m-th roots of unity zeta_m^0 .. zeta_m^(m-1), in exponent order."""
-    return tuple(root_of_unity(e, m) for e in range(m))
+    return tuple(CycNum(m, row) for row in _power_table(m))
 
 
 @lru_cache(maxsize=None)
 def _roots_index(m: int) -> dict:
-    """Coefficient tuple -> exponent, over all m-th roots of unity."""
-    return {r.coeffs: e for e, r in enumerate(unit_roots(m))}
+    """Coefficient tuple -> exponent, over all m-th roots of unity.
+
+    The keys are int tuples; a tuple of Fractions with the same values
+    hashes and compares equal, so CycNum coefficients look up directly.
+    """
+    return {row: e for e, row in enumerate(_power_table(m))}
 
 
 class RationalAngleForm:

@@ -7,17 +7,23 @@ the antisymmetric pairing S(x, y) = x * conj(y) - conj(x) * y:
     collinear(p, q, r)  <=>  S(q, r) - S(q, p) - S(p, r) = 0.
 
 Precomputing S over all pairs turns each triple test into a few tuple
-subtractions, and S updates cheaply under translation doubling.
+subtractions, and S updates cheaply under translation doubling.  The
+pairing tables hold int tuples: coordinates are scaled by one common
+denominator d first, and S(dx, dy) = d^2 S(x, y) keeps every zero test.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .cyclotomic import CycNum, _map_coeffs
-
-_F0 = Fraction(0)
+from .cyclotomic import (
+    CycNum,
+    _apply_int_rows,
+    _int_product,
+    _monomial_images,
+    _to_int_scaled,
+    phi,
+)
 
 
 def lift_all(points):
@@ -40,44 +46,57 @@ def collinear(p: CycNum, q: CycNum, r: CycNum) -> bool:
     return cross_value(p, q, r).is_zero()
 
 
-def pair_vec(x: CycNum, y: CycNum):
-    w = x * y.conj()
-    return tuple((w - w.conj()).coeffs)
+def pair_vec(x, y, n: int) -> tuple:
+    """S(x, y) for int coefficient vectors x, y at conductor n."""
+    width = phi(n)
+    conj = _monomial_images(n, n, n - 1)
+    w = _int_product(x, _apply_int_rows(conj, y, width), n)
+    return tuple(a - b for a, b in zip(w, _apply_int_rows(conj, w, width)))
 
 
 def cross_matrix(points):
-    """S(x_i, x_j) for all pairs, as coefficient tuples.
+    """S(x_i, x_j) for all pairs, as int tuples.
 
-    The points must already share one conductor.
+    The points must already share one conductor.  All coordinates are
+    scaled by one common denominator first, which scales every entry by
+    the same positive square and so keeps every collinearity test.
     """
     n = len(points)
-    width = len(points[0].coeffs) if n else 0
-    zero = (_F0,) * width
+    conductor = points[0].conductor if n else 1
+    width = phi(conductor)
+    ints, _ = _to_int_scaled([c for p in points for c in p.coeffs])
+    vecs = [ints[s : s + width] for s in range(0, len(ints), width)]
+    zero = (0,) * width
     mat = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = pair_vec(points[i], points[j])
+            v = pair_vec(vecs[i], vecs[j], conductor)
             mat[i][j] = v
             mat[j][i] = tuple(-x for x in v)
     return mat
 
 
+def lift_vectors(vecs, old_conductor, new_conductor):
+    """Re-express int coefficient vectors in a larger conductor."""
+    if new_conductor == old_conductor:
+        return vecs
+    rows = _monomial_images(old_conductor, new_conductor, 1)
+    width = phi(new_conductor)
+    return [tuple(_apply_int_rows(rows, v, width)) for v in vecs]
+
+
 def lift_matrix(mat, old_conductor, new_conductor):
     """Re-express every matrix entry in a larger conductor."""
-    if new_conductor == old_conductor:
-        return mat
-    return [
-        [_map_coeffs(entry, old_conductor, new_conductor) for entry in row]
-        for row in mat
-    ]
+    return [lift_vectors(row, old_conductor, new_conductor) for row in mat]
 
 
 def translated_union_matrix(mat, shifts):
     """Cross matrix of points + [p + a for p in points].
 
     `mat` is the cross matrix of the original points and `shifts[i]` is
-    the pair vector S(x_i, a).  Translation only shifts the pairing by
-    those per-point terms, so no field multiplications are needed.
+    the pair vector S(x_i, a), all int tuples at one scale.  Translation
+    only shifts the pairing by those per-point terms, so no field
+    multiplications are needed.
     """
     n = len(mat)
     out = [[None] * (2 * n) for _ in range(2 * n)]

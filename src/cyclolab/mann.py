@@ -493,14 +493,28 @@ def enumerate_target_relations(
     return out
 
 
+def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
+    """Charge a whole two-term target scan against the budget, before any work.
+
+    The scan censuses at most m(m+1)/2 * |cs|^2 targets, and each census
+    searches (m * |cs|)^k candidate tuples.
+    """
+    cs = _validate_coeff_set(coeff_set)
+    estimate = m * (m + 1) // 2 * len(cs) ** 2 * (m * len(cs)) ** k
+    if estimate > budget:
+        raise WorkBudgetExceeded(estimate, budget)
+
+
 def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     """Census every nonzero two-term target c1*z^e1 + c2*z^e2 over mu_m.
 
     Targets are swept with e1, c1, e2 >= e1, c2 nested in that order and
     kept once each; the witness is the first target reaching the largest
-    census.  Returns (worst, str of the witness target or None, number
+    census.  The whole scan is charged against the budget once, up
+    front.  Returns (worst, str of the witness target or None, number
     of targets).
     """
+    charge_target_scan(k, m, coeff_set, budget)
     roots = unit_roots(m)
     targets = {}
     for e1 in range(m):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from . import geometry
-from .cyclotomic import CycNum, root_of_unity
+from .cyclotomic import CycNum, _to_int_scaled, change_conductor, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
 
 DOUBLING_CAP = 8
@@ -56,7 +56,7 @@ class PointSet:
 
     @cached_property
     def cross_matrix(self):
-        """Pairwise collinearity matrix S(x_i, x_j), built on first use."""
+        """Pairwise collinearity matrix S(x_i, x_j) as int tuples, built on first use."""
         return geometry.cross_matrix(list(self.points))
 
 
@@ -112,30 +112,36 @@ def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
         raise CapExceeded(f"doubling capped at {cap} levels, got {levels}")
 
     conductor = 1
-    pts = [CycNum.zero(), CycNum.one()]
-    mat = geometry.cross_matrix(pts)
+    vecs = [(0,), (1,)]
+    mat = geometry.cross_matrix([CycNum.zero(), CycNum.one()])
 
     for _ in range(levels - 1):
-        diffs = {p - q for p in pts for q in pts if p.coeffs != q.coeffs}
-        n = len(pts)
+        diffs = {tuple(x - y for x, y in zip(p, q)) for p in vecs for q in vecs if p != q}
+        n = len(vecs)
         for a in _root_candidates():
-            if a in diffs:
+            # a root outside Q(zeta_conductor) is no difference of points
+            if (
+                conductor % a.min_conductor() == 0
+                and change_conductor(a, conductor).coeffs in diffs
+            ):
                 continue
             big = math.lcm(conductor, a.conductor)
-            lifted = [p.lift(big) for p in pts] if big != conductor else pts
-            a_big = a.lift(big)
+            lifted = geometry.lift_vectors(vecs, conductor, big)
+            a_big, scale = _to_int_scaled(a.lift(big).coeffs)
+            if scale != 1:
+                raise AssertionError("root of unity with non-integer coordinates")
             base = geometry.lift_matrix(mat, conductor, big)
-            shifts = [geometry.pair_vec(p, a_big) for p in lifted]
+            shifts = [geometry.pair_vec(p, a_big, big) for p in lifted]
             union_mat = geometry.translated_union_matrix(base, shifts)
             if geometry.first_collinear_triple(union_mat, min_newest=n) is None:
-                pts = lifted + [p + a_big for p in lifted]
+                vecs = lifted + [tuple(x + y for x, y in zip(p, a_big)) for p in lifted]
                 mat = union_mat
                 conductor = big
                 break
         else:  # pragma: no cover - the candidate stream is infinite
             raise AssertionError("no usable root of unity found")
 
-    return make_pointset(pts, "erdos_purdy", {"levels": levels})
+    return make_pointset([CycNum(conductor, v) for v in vecs], "erdos_purdy", {"levels": levels})
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +202,29 @@ def parallel_lines(
         raise ValueError("seed must be an integer")
     skip = seed % 997
 
-    placed = []  # (line, CycNum)
+    placed = []  # (line, x)
     pts = []
     for line in range(lines):
         yline = Fraction(line)
+        # lines fill in order, so the points of other lines are all placed
+        # already and the x values they block on this line are fixed
+        blocked = {
+            x1 + (x2 - x1) * (line - l1) / (l2 - l1)
+            for i, (l1, x1) in enumerate(placed)
+            for l2, x2 in placed[i + 1 :]
+            if l1 != l2
+        }
         taken_x = set()
-        count = 0
         stream = _rational_stream()
         for _ in range(skip):
             next(stream)
-        while count < per_line:
+        while len(taken_x) < per_line:
             x = next(stream)
-            if x in taken_x:
-                continue
-            cand = CycNum(4, (x, yline))
-            if _blocked(cand, line, placed):
+            if x in taken_x or x in blocked:
                 continue
             taken_x.add(x)
-            placed.append((line, cand))
-            pts.append(cand)
-            count += 1
+            placed.append((line, x))
+            pts.append(CycNum(4, (x, yline)))
 
     return PointSet(
         conductor=4,
@@ -223,17 +232,3 @@ def parallel_lines(
         provenance={"name": "parallel_lines", "params": {"lines": lines, "per_line": per_line}},
         seed=seed,
     )
-
-
-def _blocked(cand, line, placed):
-    """Is cand collinear with two placed points on two distinct other lines?"""
-    others = [(l, p) for l, p in placed if l != line]
-    for i in range(len(others)):
-        li, pi = others[i]
-        for j in range(i + 1, len(others)):
-            lj, pj = others[j]
-            if li == lj:
-                continue
-            if geometry.collinear(cand, pi, pj):
-                return True
-    return False

@@ -29,7 +29,10 @@ def fraction_to_str(f: Fraction) -> str:
 def str_to_fraction(s) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
-    f = Fraction(s)
+    try:
+        f = Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad rational {s!r}: {exc}")
     if str(f) != s:
         raise ValueError(f"rational {s!r} is not in lowest-terms form {str(f)!r}")
     return f

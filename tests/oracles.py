@@ -8,7 +8,7 @@ subset checks, and geometry uses cubic triple scans.  Slow on purpose.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, count, product
 from math import gcd, lcm
 
 import sympy
@@ -301,6 +301,61 @@ def brute_max_collinear(points):
                 best = len(line)
                 members = tuple(sorted(line))
     return best, members
+
+
+def greedy_doubling(levels: int):
+    """(translations, points) of greedy translation doubling from {0, 1}.
+
+    Each level takes the first root of unity, by order and then exponent,
+    that is no difference of current points and leaves the union with its
+    translate free of collinear triples, by the full cubic scan.
+    """
+    pts = [CycNum.zero(), CycNum.one()]
+    chosen = []
+    for _ in range(levels - 1):
+        diffs = [p - q for p, q in product(pts, pts) if p != q]
+        hit = next(
+            a
+            for m in count(1)
+            for a in (CycNum(m, r) for r in _root_residues(m))
+            if a not in diffs and not collinear_triples(pts + [p + a for p in pts])
+        )
+        chosen.append(hit)
+        pts = pts + [p + hit for p in pts]
+    return chosen, pts
+
+
+def greedy_parallel_lines(lines: int, per_line: int, seed: int) -> list:
+    """x coordinates, line by line, of the parallel-lines rule applied
+    literally: walk the rationals of [0, 1) by denominator and then
+    numerator from offset seed % 997, and take x unless it repeats on its
+    line or is collinear with two placed points on two distinct lines
+    other than its own."""
+    def stream():
+        for d in count(1):
+            for n in range(d):
+                if gcd(n, d) == 1:
+                    yield Fraction(n, d)
+
+    placed = []  # (line, CycNum)
+    out = []
+    for line in range(lines):
+        xs = stream()
+        for _ in range(seed % 997):
+            next(xs)
+        row = []
+        while len(row) < per_line:
+            x = next(xs)
+            cand = CycNum(4, (x, line))
+            if x in row or any(
+                l1 != l2 and line not in (l1, l2) and is_collinear(cand, p, q)
+                for (l1, p), (l2, q) in combinations(placed, 2)
+            ):
+                continue
+            row.append(x)
+            placed.append((line, cand))
+        out.append(row)
+    return out
 
 
 def brute_classify(w: CycNum):

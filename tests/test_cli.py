@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from cyclolab import cyclotomic, distgraph, erdos_purdy, geometry, serialize
+from cyclolab import cyclotomic, distgraph, erdos_purdy, geometry, mann, serialize
 from cyclolab.cli import main
+from cyclolab.errors import WorkBudgetExceeded
 
 
 def run(args):
@@ -54,6 +55,7 @@ def test_gen_grid_fractional_spacing(tmp_path):
         ["gen", "grid", "--rows", 100, "--cols", 100],
         ["gen", "erdos-purdy", "--levels", 9],
         ["gen", "lines", "--lines", 0],
+        ["gen", "grid", "--spacing", "1/0"],
     ],
 )
 def test_gen_validation_errors(tmp_path, capsys, monkeypatch, args):
@@ -194,6 +196,19 @@ def test_mann_target_scan(capsys):
 def test_mann_errors(capsys, args):
     assert run(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):
+    def no_roots(m):
+        raise RuntimeError(f"unit_roots({m}) reached")
+
+    # the enumeration alone passes the budget; the whole scan does not
+    monkeypatch.setattr(mann, "unit_roots", no_roots)
+    assert run(["mann", "--k", 2, "--modulus", 3000, "--target-scan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds budget" in err
+    with pytest.raises(WorkBudgetExceeded):
+        mann.two_term_target_scan(2, 3000, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +363,11 @@ _HAND_POINTSET = {
         {"provenance": {"name": 5, "params": {}, "seed": 0}},
         {"conductor": 30030, "points": [["0"]]},
         {"conductor": 10 ** 18 + 9, "points": [["0"]]},
+        {"points": [["0", "0"], ["1/0", "0"], ["0", "1"]]},
     ],
     ids=[
         "points-int", "params-list", "row-length", "conductor-bool", "decimal",
-        "seed-str", "name-int", "conductor-30030", "conductor-huge",
+        "seed-str", "name-int", "conductor-30030", "conductor-huge", "coord-div0",
     ],
 )
 def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, monkeypatch, change):
@@ -382,8 +398,12 @@ def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, monkeypatch, chang
         {"seed": "x"},
         {"mode": 7},
         {"n": True},
+        {"peel_threshold": "1/0"},
     ],
-    ids=["ceilings-list", "bounds-int", "ceilings-unknown", "seed-str", "mode-int", "n-bool"],
+    ids=[
+        "ceilings-list", "bounds-int", "ceilings-unknown", "seed-str", "mode-int", "n-bool",
+        "threshold-div0",
+    ],
 )
 def test_malformed_report_via_cli_exits_2(ep3, tmp_path, capsys, change):
     rep_path = tmp_path / "rep.json"

@@ -21,6 +21,7 @@ from cyclolab import (
     root_of_unity,
     unit_roots,
 )
+from cyclolab.cyclotomic import _roots_index
 
 import oracles
 
@@ -302,6 +303,17 @@ def test_roots_of_unity_basics():
     assert prod == CycNum.one()
     with pytest.raises(ValueError):
         root_of_unity(1, 0)
+
+
+@pytest.mark.parametrize("m", list(range(1, 31)) + [60, 84, 420])
+def test_root_table_matches_root_of_unity(m):
+    roots = unit_roots(m)
+    index = _roots_index(m)
+    assert len(roots) == len(index) == m
+    for e, r in enumerate(roots):
+        expected = root_of_unity(e, m)
+        assert (r.conductor, r.coeffs) == (m, expected.coeffs)
+        assert index[expected.coeffs] == e
 
 
 # ---------------------------------------------------------------------------

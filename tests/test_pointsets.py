@@ -1,6 +1,7 @@
 """Point set constructions: doubling, grids, parallel lines."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -101,6 +102,15 @@ def test_erdos_purdy_prefix_property():
     ]
 
 
+@pytest.mark.parametrize("levels", [2, 3, 4])
+def test_erdos_purdy_matches_greedy_oracle(levels):
+    ps = erdos_purdy(levels)
+    chosen, pts = oracles.greedy_doubling(levels)
+    # level l appends the translate of the first 2^l points by its root
+    assert [ps.points[2 ** l] for l in range(1, levels)] == chosen
+    assert list(ps.points) == pts
+
+
 def test_erdos_purdy_validation():
     with pytest.raises(ValueError):
         erdos_purdy(0)
@@ -197,6 +207,16 @@ def test_parallel_lines_deterministic_and_seed_sensitive():
     assert [p.coeffs for p in a.points] != [p.coeffs for p in c.points]
 
 
+@pytest.mark.parametrize(
+    "lines, per_line, seed",
+    [(3, 4, 0), (3, 4, 1), (3, 4, 2), (3, 4, 3), (4, 5, 3), (5, 5, 2991)],
+)
+def test_parallel_lines_matches_greedy_oracle(lines, per_line, seed):
+    ps = parallel_lines(lines, per_line, seed=seed)
+    rows = oracles.greedy_parallel_lines(lines, per_line, seed)
+    assert [p.coeffs for p in ps.points] == [(x, line) for line, row in enumerate(rows) for x in row]
+
+
 def test_parallel_lines_validation():
     with pytest.raises(ValueError):
         parallel_lines(0, 3)
@@ -204,3 +224,39 @@ def test_parallel_lines_validation():
         parallel_lines(3, 0)
     with pytest.raises(WorkBudgetExceeded):
         parallel_lines(200, 200)
+
+
+# ---------------------------------------------------------------------------
+# the cross matrix
+# ---------------------------------------------------------------------------
+
+def _shifted_grid():
+    grid = square_grid(3, 4, Fraction(3, 4))
+    shift = CycNum(4, (Fraction(1, 3), Fraction(-2, 5)))
+    return make_pointset([p + shift for p in grid.points], "shifted_grid", {})
+
+
+def _moved_doubling():
+    turn = root_of_unity(7, 60)
+    pts = [p.lift(60) * turn + Fraction(2, 7) for p in erdos_purdy(2).points]
+    # a point a third of the way from the first point to the second makes
+    # one collinear triple, and a denominator of 3
+    pts.append(pts[0] + (pts[1] - pts[0]) / 3)
+    return make_pointset(pts, "moved_doubling", {})
+
+
+@pytest.mark.parametrize("build", [_shifted_grid, _moved_doubling])
+def test_cross_matrix_zero_tests_match_oracle(build):
+    ps = build()
+    pts = list(ps.points)
+    assert any(c.denominator > 1 for p in pts for c in p.coeffs)
+    mat = ps.cross_matrix
+    assert all(type(c) is int for row in mat for entry in row for c in entry)
+    got = [
+        (i, j, k)
+        for i, j, k in combinations(range(len(pts)), 3)
+        if not any(e + f - g for e, f, g in zip(mat[j][k], mat[i][j], mat[i][k]))
+    ]
+    expected = oracles.collinear_triples(pts)
+    assert got == expected
+    assert 0 < len(expected) < len(list(combinations(pts, 3)))
