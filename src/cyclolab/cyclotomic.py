@@ -562,12 +562,14 @@ def unit_roots(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _roots_index(m: int) -> dict:
-    """Coefficient tuple -> exponent, over all m-th roots of unity.
+    """Row -> exponent, over the m-th roots of unity whose power-basis row
+    has a positive first nonzero entry.
 
-    The keys are int tuples; a tuple of Fractions with the same values
-    hashes and compares equal, so CycNum coefficients look up directly.
+    Takes even m only: there -zeta^e = zeta^(e + m/2), so the table holds
+    exactly one of every root and its negative, m/2 entries in all.  The
+    keys are int tuples.
     """
-    return {row: e for e, row in enumerate(_power_table(m))}
+    return {row: e for e, row in enumerate(_power_table(m)) if next(filter(None, row)) > 0}
 
 
 class RationalAngleForm:
@@ -606,42 +608,47 @@ class RationalAngleForm:
         return f"RationalAngleForm({self.length}, {self.exponent}, {self.modulus})"
 
 
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     """Decide whether w = q * zeta_M^e with q a positive rational.
 
     M is lcm(2, conductor of w); every root of unity inside Q(zeta_N) is an
-    M-th root of unity, so the decision is complete: the squared modulus
-    w * conj(w) must be the square of a rational q, and w / q must then
-    appear in the table of all M-th roots.  Returns None when w has an
-    irrational length or a non-rational angle; raises on zero input.
+    M-th root of unity, so the decision is complete.  It is one lookup:
+    w lifted to M, as an int vector divided by the gcd of its entries and
+    by the sign of its first nonzero entry, is w's primitive form, and
+    w = q * zeta_M^e exactly when that form is a row of `_roots_index(M)`
+    (power-table rows are primitive, since a root of unity divided by an
+    integer g > 1 is not an algebraic integer).  Returns None when w has
+    an irrational length or a non-rational angle; raises on zero input.
     """
     w = CycNum._coerce(w)
     if w is None:
         raise TypeError("classify_rational_angle expects a CycNum or rational")
     if w.is_zero():
         raise ValueError("zero input has no direction")
-    m = math.lcm(2, w.conductor)
-    norm = w * w.conj()
-    if not norm.is_rational():
-        return None
-    q = _fraction_sqrt(norm.as_rational())
-    if q is None:
-        return None
-    u = (w / q).lift(m)
-    e = _roots_index(m).get(u.coeffs)
+    n, m = w.conductor, math.lcm(2, w.conductor)
+    ints, den = _to_int_scaled(w.coeffs)
+    if m != n:
+        ints = _apply_int_rows(_monomial_images(n, m, 1), ints, phi(m))
+    g = math.gcd(*ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    e = _roots_index(m).get(tuple(c // g for c in ints))
     if e is None:
         return None
-    return RationalAngleForm(q, e, m)
+    if g < 0:
+        e = (e + m // 2) % m
+    return RationalAngleForm(Fraction(abs(g), den), e, m)
+
+
+def _root_turn(r) -> Optional[Fraction]:
+    """e/M when r = zeta_M^e, as a fraction of a full turn; None when r is
+    not a root of unity (zero included)."""
+    if r.is_zero():
+        return None
+    form = classify_rational_angle(r)
+    if form is None or form.length != 1:
+        return None
+    return Fraction(form.exponent, form.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ For such minimal relations, every ratio of two participating roots has
 order dividing the product of the primes up to k (Mann's bound); for two
 minimal representations of the same nonzero target, the same conclusion
 holds with primes up to the combined length (the extension bound).  Both
-bounds are checked here by exact root-of-unity arithmetic, never floats.
+bounds are checked exactly on the roots' turns e/M, never by floats.
 Every "does some subset sum to zero?" test runs on Kronecker-packed
 ints: `pack_vectors` maps each coefficient vector to one Python int so
 that the sums it is asked about vanish exactly when the vectors' do.
@@ -16,14 +16,14 @@ that the sums it is asked about vanish exactly when the vectors' do.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Optional
 
-from .cyclotomic import CycNum, _to_int_scaled, root_of_unity, unit_roots
+from .cyclotomic import (
+    CycNum, _map_coeffs, _power_table, _root_turn, _to_int_scaled, phi, root_of_unity, unit_roots,
+)
 from .errors import CapExceeded, WorkBudgetExceeded
 
 SUBSUM_CAP = 12
@@ -146,48 +146,35 @@ def pack_vectors(vectors, depth: int) -> list:
 
 
 class SubsetSumTracker:
-    """Multiset of all nonempty-subset sums of a stack of packed vectors.
+    """Stack of the sets of nonempty-subset sums of pushed packed vectors.
 
-    Supports O(1) detection of whether pushing a new vector would create
-    a vanishing subset: that happens iff the vector is zero or its
-    negation already occurs as a subset sum.  Push cost doubles with
-    depth, so callers cap the stack height.
+    Level d holds every subset sum of the first d vectors with their
+    total.  Pushing a new vector would create a vanishing subset iff the
+    vector is zero or its negation is already a subset sum, a set
+    membership test.  Push cost doubles with depth, so callers cap the
+    stack height.
     """
 
     def __init__(self):
-        self._sums = Counter()
-        self._stack = []
-        self.total = 0
+        self._levels = [(frozenset(), 0)]
 
     def __len__(self):
-        return len(self._stack)
+        return len(self._levels) - 1
+
+    @property
+    def total(self):
+        return self._levels[-1][1]
 
     def conflicts(self, v) -> bool:
         """True iff pushing v would create a vanishing nonempty subset."""
-        return not v or self._sums[-v] > 0
-
-    def neg_count(self, v) -> int:
-        """How many current subset sums equal -v."""
-        return self._sums[-v]
+        return not v or -v in self._levels[-1][0]
 
     def push(self, v):
-        adds = [(v, 1)]
-        for s, mult in list(self._sums.items()):
-            adds.append((s + v, mult))
-        for val, m in adds:
-            self._sums[val] += m
-        self.total += v
-        self._stack.append(adds)
+        sums, total = self._levels[-1]
+        self._levels.append((sums | {v} | {s + v for s in sums}, total + v))
 
     def pop(self):
-        adds = self._stack.pop()
-        for val, m in adds:
-            left = self._sums[val] - m
-            if left:
-                self._sums[val] = left
-            else:
-                del self._sums[val]
-        self.total -= adds[0][0]
+        self._levels.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +206,10 @@ class RelationTuple:
             raise ValueError("roots and coeffs must be nonempty and equal length")
         if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
-        one = CycNum.one()
         for r in roots:
             if not isinstance(r, CycNum):
                 raise ValueError("roots must be CycNum values")
-            order = math.lcm(2, r.conductor)
-            if r ** order != one:
+            if _root_turn(r) is None:
                 raise ValueError(f"{r!r} is not a root of unity")
         total = CycNum.zero()
         for r, c in zip(roots, coeffs):
@@ -296,6 +281,14 @@ def _validate_coeff_set(coeff_set):
     return cs
 
 
+def _charge(k, m, cs, width, budget, targets=1):
+    """Charge `targets` censuses, each of m * |cs| term vectors of `width`
+    coefficients and (m * |cs|)^k candidate tuples, before any work."""
+    estimate = targets * ((m * len(cs)) ** k + m * len(cs) * width)
+    if estimate > budget:
+        raise WorkBudgetExceeded(estimate, budget)
+
+
 def _canonical_entries(entries, m):
     """Rotation-normal form: smallest sorted tuple of (exponent, coeff)
     pairs over all rotations placing one of the roots at exponent zero."""
@@ -324,14 +317,13 @@ def enumerate_minimal_vanishing_sums(
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
-    estimate = (m * len(cs)) ** k
-    if estimate > budget:
-        raise WorkBudgetExceeded(estimate, budget)
+    _charge(k, m, cs, phi(m), budget)
 
     pairs = [(e, c) for e in range(m) for c in cs]
-    roots = unit_roots(m)
-    # every zero test combines at most the k terms of one candidate
-    values = pack_vectors([(roots[e] * c).coeffs for e, c in pairs], k)
+    scaled, _ = _to_int_scaled(cs)
+    # one positive scale for all terms keeps every zero test, and each
+    # test combines at most the k terms of one candidate
+    values = pack_vectors([[s * x for x in row] for row in _power_table(m) for s in scaled], k)
 
     tracker = SubsetSumTracker()
     chosen = []
@@ -339,14 +331,14 @@ def enumerate_minimal_vanishing_sums(
 
     def extend(min_idx, remaining):
         if remaining == 1:
+            # a closing term leaves no vanishing proper subset: a proper
+            # subset of the chosen terms plus it sums to minus the rest,
+            # which the tracker kept nonzero
+            total = tracker.total
             for idx in range(min_idx, len(pairs)):
-                v = values[idx]
-                if tracker.total + v:
-                    continue
-                if tracker.neg_count(v) != 1:
-                    continue
-                entries = tuple(pairs[i] for i in chosen) + (pairs[idx],)
-                found.add(_canonical_entries(entries, m))
+                if not total + values[idx]:
+                    entries = tuple(pairs[i] for i in chosen) + (pairs[idx],)
+                    found.add(_canonical_entries(entries, m))
             return
         for idx in range(min_idx, len(pairs)):
             v = values[idx]
@@ -396,12 +388,12 @@ def certify_mann(t: RelationTuple) -> MannCertificate:
         raise ValueError("not a minimal vanishing sum: minimality not established")
     k = len(t)
     m = mann_modulus(k)
-    one = CycNum.one()
+    turns = [_root_turn(r) for r in t.roots]
     for i in range(k):
         for j in range(i + 1, k):
-            # conjugate of a root of unity is its inverse
-            ratio = t.roots[i] * t.roots[j].conj()
-            if ratio ** m != one:
+            # the ratio turns by t_i - t_j, so its order divides m iff
+            # m whole ratios make whole turns
+            if ((turns[i] - turns[j]) * m).denominator != 1:
                 return MannCertificate(k=k, modulus=m, verdict=False, witness=(i, j))
     return MannCertificate(k=k, modulus=m, verdict=True, witness=None)
 
@@ -431,16 +423,18 @@ def enumerate_target_relations(
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
-    estimate = (m * len(cs)) ** k
-    if estimate > budget:
-        raise WorkBudgetExceeded(estimate, budget)
-
     conductor = math.lcm(a.conductor, m)
-    roots = [r.lift(conductor) for r in unit_roots(m)]
+    _charge(k, m, cs, phi(conductor), budget)
+
     terms = [(e, c) for e in range(m) for c in cs]
-    # the closing test combines the target, k - 1 prefix terms and c*zeta^e
+    scaled, den = _to_int_scaled(cs)
+    rows = _power_table(conductor)[:: conductor // m]  # row e is zeta_m^e
+    # the closing test combines the target, k - 1 prefix terms and
+    # c*zeta^e, all scaled by den
     apack, *tpacks = pack_vectors(
-        [a.lift(conductor).coeffs] + [(roots[e] * c).coeffs for e, c in terms], k + 1
+        [[den * x for x in _map_coeffs(a.coeffs, a.conductor, conductor)]]
+        + [[s * x for x in row] for row in rows for s in scaled],
+        k + 1,
     )
     # terms with equal values share a closing list; each closes with its own
     # last exponent, so the list order does not change the recorded witnesses
@@ -454,11 +448,9 @@ def enumerate_target_relations(
 
     def close():
         residual = apack - tracker.total
-        if not residual:
-            return
         # any proper subset containing the last term would sum to zero
         # iff -residual already occurs among the prefix subset sums
-        if tracker.neg_count(residual) != 0:
+        if tracker.conflicts(residual):
             return
         for e, c in closing.get(residual, ()):
             exps = tuple(e0 for e0, _ in prefix) + (e,)
@@ -496,13 +488,10 @@ def enumerate_target_relations(
 def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     """Charge a whole two-term target scan against the budget, before any work.
 
-    The scan censuses at most m(m+1)/2 * |cs|^2 targets, and each census
-    searches (m * |cs|)^k candidate tuples.
+    The scan censuses at most m(m+1)/2 * |cs|^2 targets in Q(zeta_m).
     """
     cs = _validate_coeff_set(coeff_set)
-    estimate = m * (m + 1) // 2 * len(cs) ** 2 * (m * len(cs)) ** k
-    if estimate > budget:
-        raise WorkBudgetExceeded(estimate, budget)
+    _charge(k, m, cs, phi(m), budget, m * (m + 1) // 2 * len(cs) ** 2)
 
 
 def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
@@ -552,12 +541,13 @@ def certify_extension(t1: RelationTuple, t2: RelationTuple):
     if t1.target != t2.target:
         raise ValueError("targets differ")
     m = _primorial_upto(len(t1) + len(t2))
-    one = CycNum.one()
+    turns1 = [_root_turn(r) for r in t1.roots]
     witness = {}
     for j, r2 in enumerate(t2.roots):
+        turn2 = _root_turn(r2)
         hit = None
-        for i, r1 in enumerate(t1.roots):
-            if (r2 * r1.conj()) ** m == one:
+        for i, turn1 in enumerate(turns1):
+            if ((turn2 - turn1) * m).denominator == 1:
                 hit = i
                 break
         if hit is None:

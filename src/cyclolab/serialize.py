@@ -14,7 +14,7 @@ import json
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum, _roots_index, phi, root_of_unity
+from .cyclotomic import CycNum, _root_turn, phi, root_of_unity
 from .distgraph import MODES, AnalysisReport
 from .mann import RelationTuple
 from .pointsets import PointSet
@@ -52,7 +52,13 @@ def cycnum_to_obj(x: CycNum) -> dict:
 def obj_to_cycnum(d) -> CycNum:
     if not isinstance(d, dict) or "conductor" not in d or "coeffs" not in d:
         raise ValueError("malformed field element")
-    return CycNum(d["conductor"], tuple(str_to_fraction(c) for c in d["coeffs"]))
+    n, coeffs = d["conductor"], d["coeffs"]
+    if not _is_int(n) or n < 1 or not isinstance(coeffs, list):
+        raise ValueError("malformed field element")
+    # phi(n) >= sqrt(n / 2), so the coefficient count bounds the conductor
+    if n > 2 * len(coeffs) ** 2 or len(coeffs) != phi(n):
+        raise ValueError(f"a field element of conductor {n} needs phi({n}) coefficients")
+    return CycNum(n, tuple(str_to_fraction(c) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +120,14 @@ def obj_to_pointset(d) -> PointSet:
 # relation tuples
 # ---------------------------------------------------------------------------
 
-def _relation_modulus(t: RelationTuple) -> int:
-    m = 2
-    for r in t.roots:
-        m = math.lcm(m, r.conductor)
-    return m
-
-
 def relation_to_obj(t: RelationTuple) -> dict:
-    m = _relation_modulus(t)
-    index = _roots_index(m)
-    exps = []
-    for r in t.roots:
-        e = index.get(r.lift(m).coeffs)
-        if e is None:
-            raise AssertionError("root of unity missing from its own torsion group")
-        exps.append(e)
+    m = math.lcm(2, *(r.conductor for r in t.roots))
     return {
         "format_version": FORMAT_VERSION,
         "kind": "relation",
         "k": len(t),
         "conductor": m,
-        "roots": exps,
+        "roots": [int(_root_turn(r) * m) for r in t.roots],
         "coeffs": [fraction_to_str(c) for c in t.coeffs],
         "target": cycnum_to_obj(t.target),
         "minimal": t.minimal,
@@ -145,17 +137,22 @@ def relation_to_obj(t: RelationTuple) -> dict:
 def obj_to_relation(d) -> RelationTuple:
     _expect(d, "relation", ("conductor", "roots", "coeffs", "target"))
     m = d["conductor"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError("conductor must be a positive integer")
-    roots = tuple(root_of_unity(e, m) for e in d["roots"])
-    coeffs = tuple(str_to_fraction(c) for c in d["coeffs"])
-    if d.get("k") != len(roots):
+    exps, coeffs, minimal = d["roots"], d["coeffs"], d.get("minimal", False)
+    if not isinstance(exps, list) or not isinstance(coeffs, list):
+        raise ValueError("roots and coeffs must be lists")
+    if not all(_is_int(e) and 0 <= e < m for e in exps):
+        raise ValueError(f"root exponents must be integers in [0, {m})")
+    if not _is_int(d.get("k")) or d["k"] != len(exps):
         raise ValueError("relation length disagrees with its roots")
+    if not isinstance(minimal, bool):
+        raise ValueError("minimal must be true or false")
     return RelationTuple(
-        roots=roots,
-        coeffs=coeffs,
+        roots=tuple(root_of_unity(e, m) for e in exps),
+        coeffs=tuple(str_to_fraction(c) for c in coeffs),
         target=obj_to_cycnum(d["target"]),
-        minimal=bool(d.get("minimal", False)),
+        minimal=minimal,
     )
 
 
@@ -172,6 +169,8 @@ def relations_to_obj(relations) -> dict:
 
 def obj_to_relations(d) -> list:
     _expect(d, "relation_list", ("relations",))
+    if not isinstance(d["relations"], list) or not all(isinstance(s, dict) for s in d["relations"]):
+        raise ValueError("relations must be a list of objects")
     out = []
     for sub in d["relations"]:
         sub = dict(sub)

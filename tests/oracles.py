@@ -375,6 +375,32 @@ def brute_classify(w: CycNum):
     return None
 
 
+def norm_classify(w: CycNum):
+    """(q, e, M) such that w = q * zeta_M^e with q rational positive, or
+    None; q is the square root of the squared modulus w * conj(w), and
+    w / q is looked up among all M-th roots of unity."""
+    from math import isqrt
+
+    from cyclolab import root_of_unity
+
+    if w.is_zero():
+        raise ValueError("zero input")
+    M = lcm(2, w.conductor)
+    norm = w * w.conj()
+    if not norm.is_rational() or norm.as_rational() < 0:
+        return None
+    sq = norm.as_rational()
+    rn, rd = isqrt(sq.numerator), isqrt(sq.denominator)
+    if rn * rn != sq.numerator or rd * rd != sq.denominator:
+        return None
+    q = Fraction(rn, rd)
+    u = (w / q).lift(M)
+    for e in range(M):
+        if root_of_unity(e, M).coeffs == u.coeffs:
+            return q, e, M
+    return None
+
+
 # ---------------------------------------------------------------------------
 # path oracle
 # ---------------------------------------------------------------------------

@@ -211,6 +211,26 @@ def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):
         mann.two_term_target_scan(2, 3000, (1,))
 
 
+def test_mann_budget_charges_the_root_table(capsys, monkeypatch):
+    real = cyclotomic._power_table
+
+    def small_only(m):
+        if m > 5000:
+            raise RuntimeError(f"_power_table({m}) built")
+        return real(m)
+
+    # 10^4 squared tuples fit the default budget; the 10^4 x phi(10^4)
+    # coefficients of the root table do not
+    monkeypatch.setattr(cyclotomic, "_power_table", small_only)
+    monkeypatch.setattr(mann, "_power_table", small_only, raising=False)
+    assert run(["mann", "--k", 2, "--modulus", 10000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds budget" in err
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        mann.enumerate_target_relations(1, 2, 10000, (1,))
+    assert exc.value.estimate == 10 ** 8 + 10 ** 4 * 4000
+
+
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------
@@ -308,6 +328,67 @@ def test_relation_roundtrip_identity(tmp_path):
     path2 = tmp_path / "rel2.json"
     serialize.save_relations(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+_HAND_RELATION = {
+    "format_version": 1,
+    "kind": "relation",
+    "k": 3,
+    "conductor": 6,
+    "roots": [0, 2, 4],
+    "coeffs": ["1", "1", "1"],
+    "target": {"conductor": 1, "coeffs": ["0"]},
+    "minimal": True,
+}
+_ONE_TERM = {"k": 1, "roots": [0], "coeffs": ["1"], "target": {"conductor": 1, "coeffs": ["1"]}}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"roots": [0, -4, 4]},
+        {"roots": [0, 2, 10]},
+        {"roots": [0, "2", 4]},
+        {"roots": [0, 2.0, 4]},
+        {"roots": [True, 3, 5]},
+        {"roots": "024"},
+        {"coeffs": "111"},
+        dict(_ONE_TERM, conductor=True),
+        dict(_ONE_TERM, conductor=1, k=True),
+        {"k": 3.0},
+        {"minimal": "no"},
+        {"relations": [list(_HAND_RELATION.items())]},
+        dict(_ONE_TERM, target={"conductor": 4, "coeffs": "1"}),
+        dict(_ONE_TERM, target={"conductor": True, "coeffs": ["1"]}),
+        dict(_ONE_TERM, target={"conductor": 4, "coeffs": ["1"]}),
+        dict(_ONE_TERM, target={"conductor": 30030, "coeffs": ["1"]}),
+    ],
+    ids=[
+        "exp-negative", "exp-large", "exp-str", "exp-float", "exp-bool", "roots-str",
+        "coeffs-str", "conductor-bool", "k-bool", "k-float", "minimal-str", "entry-pairs",
+        "target-coeffs-str", "target-conductor-bool", "target-row-length", "target-30030",
+    ],
+)
+def test_malformed_relation_rejected(monkeypatch, change):
+    serialize.obj_to_relation(_HAND_RELATION)
+    serialize.obj_to_relation(dict(_HAND_RELATION, roots=[1, 3, 5]))
+    serialize.obj_to_relation(dict(_HAND_RELATION, **_ONE_TERM, conductor=1))
+    real = cyclotomic.cyclotomic_polynomial
+
+    def small_only(n):
+        # a declared conductor must be rejected before any work that grows with it
+        if n > 1000:
+            raise RuntimeError(f"cyclotomic_polynomial({n}) reached")
+        return real(n)
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", small_only)
+    if "relations" in change:
+        doc = dict(change, format_version=1, kind="relation_list")
+        with pytest.raises(ValueError):
+            serialize.obj_to_relations(doc)
+        return
+    with pytest.raises(ValueError):
+        serialize.obj_to_relation(dict(_HAND_RELATION, **change))
 
 
 def test_report_roundtrip_fields(tmp_path):

@@ -307,13 +307,15 @@ def test_roots_of_unity_basics():
 
 @pytest.mark.parametrize("m", list(range(1, 31)) + [60, 84, 420])
 def test_root_table_matches_root_of_unity(m):
+    M = math.lcm(2, m)
+    # one row of each pair zeta^e, -zeta^e = zeta^(e + M/2)
+    assert len(_roots_index(M)) == M // 2
     roots = unit_roots(m)
-    index = _roots_index(m)
-    assert len(roots) == len(index) == m
+    assert len(roots) == m
     for e, r in enumerate(roots):
         expected = root_of_unity(e, m)
         assert (r.conductor, r.coeffs) == (m, expected.coeffs)
-        assert index[expected.coeffs] == e
+        assert classify_rational_angle(expected).astuple() == (1, e * M // m, M)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,34 @@ def test_classify_agrees_with_brute_division(n, e):
     brute = oracles.brute_classify(w)
     assert brute is not None and form is not None
     assert (form.length, form.exponent, form.modulus) == brute
+
+
+def _norm_classify_inputs(n):
+    z = root_of_unity(1, n)
+    yield from (root_of_unity(e, n) * q for e in range(0, n, 5) for q in (Fraction(7, 3), -2))
+    for d in (d for d in (3, 4, 5, 6, 7, 12) if n % d == 0 and d != n):
+        yield from (root_of_unity(e, d).lift(n) * Fraction(-5, 2) for e in range(d))
+    if n % 4 == 0:
+        # length 1, angle atan(4/3): not a rational multiple of pi
+        yield root_of_unity(1, 4) * Fraction(4, 5) + Fraction(3, 5)
+        yield (root_of_unity(1, 4) * Fraction(4, 5) + Fraction(3, 5)) * z
+    else:
+        # x / conj(x) has length 1 but is not a root of unity
+        yield (z + 2) / (z.conj() + 2)
+    yield z + 1
+    yield (z + 1) * Fraction(3, 4)
+    yield from (root_of_unity(a, n) + root_of_unity(b, n) for a in (0, 1) for b in range(a + 1, n, 3))
+
+
+@pytest.mark.parametrize("n", [12, 60, 84, 420, 15, 21, 105])
+def test_classify_matches_norm_oracle(n):
+    hits = 0
+    for w in _norm_classify_inputs(n):
+        form = classify_rational_angle(w)
+        expected = oracles.norm_classify(w)
+        assert (form and form.astuple()) == expected, w
+        hits += form is not None
+    assert hits > 0
 
 
 def test_rational_angle_form_validation():

@@ -107,12 +107,14 @@ def test_tracker_basics():
     assert t.conflicts(neg_xy)
     assert t.conflicts(neg_x)
     assert not t.conflicts(diag)
-    assert t.neg_count(neg_xy) == 1
+    assert len(t) == 2
     t.pop()
-    assert t.total == x
+    assert len(t) == 1 and t.total == x
     assert not t.conflicts(neg_xy)
+    assert t.conflicts(neg_x)
     t.pop()
-    assert t.total == 0
+    assert len(t) == 0 and t.total == 0
+    assert not t.conflicts(neg_x)
 
 
 @given(
@@ -149,6 +151,69 @@ def test_tracker_matches_brute_subset_sums(vectors):
     for _ in vectors:
         t.pop()
     assert len(t) == 0 and t.total == 0
+
+
+_SMALL = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(st.lists(st.one_of(_SMALL, st.none()), max_size=14))
+@settings(max_examples=120, deadline=None)
+def test_tracker_interleaved_push_pop_matches_brute(ops):
+    from itertools import combinations
+
+    # None pops the top vector; every other entry is pushed
+    pushed = [v for v in ops if v is not None]
+    probes = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+    # a probe's zero test combines it with at most every pushed vector
+    packed = pack_vectors(pushed + probes, len(pushed) + 1)
+    packed_probes = packed[len(pushed):]
+    t = SubsetSumTracker()
+    live = []
+    fresh = iter(zip(pushed, packed))
+    for op in ops:
+        if op is not None:
+            item = next(fresh)
+            t.push(item[1])
+            live.append(item)
+            continue
+        if not live:
+            continue
+        t.pop()
+        live.pop()
+        sums = {
+            tuple(map(sum, zip(*(v for v, _ in sub))))
+            for size in range(1, len(live) + 1)
+            for sub in combinations(live, size)
+        }
+        assert len(t) == len(live)
+        assert t.total == sum(p for _, p in live)
+        for (a, b), p in zip(probes, packed_probes):
+            assert t.conflicts(p) == ((a, b) == (0, 0) or (-a, -b) in sums), (a, b)
+
+
+def test_relations_need_no_powers_or_root_lists(monkeypatch, tmp_path):
+    from cyclolab import cyclotomic, mann, serialize
+
+    def refuse(*args):
+        raise AssertionError("root of unity decided by field arithmetic")
+
+    # every root-of-unity decision is a lookup, not a power or a root list
+    monkeypatch.setattr(CycNum, "__pow__", refuse)
+    monkeypatch.setattr(cyclotomic, "unit_roots", refuse)
+    monkeypatch.setattr(mann, "unit_roots", refuse)
+    rels = enumerate_minimal_vanishing_sums(3, 12, (ONE, -ONE))
+    assert rels and all(certify_mann(t).verdict for t in rels)
+    hits = enumerate_target_relations(root_of_unity(1, 12) + 1, 2, 12, (ONE,))
+    assert len(hits) == 2
+    assert certify_extension(hits[0], hits[1]) == (True, {0: 1, 1: 0})
+    third = RelationTuple(
+        roots=tuple(root_of_unity(e, 3) for e in range(3)),
+        coeffs=(ONE, ONE, ONE),
+        target=CycNum.zero(),
+        minimal=True,
+    )
+    serialize.save_relations(tmp_path / "rel.json", rels + hits + [third])
+    assert serialize.load_relations(tmp_path / "rel.json") == rels + hits + [third]
 
 
 _PACK_COORDS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
@@ -268,7 +333,8 @@ def test_enumerate_requires_two_terms():
 def test_enumerate_budget():
     with pytest.raises(WorkBudgetExceeded) as exc:
         enumerate_minimal_vanishing_sums(3, 100, (ONE,), budget=10)
-    assert exc.value.estimate == 100 ** 3
+    # 100^3 candidate tuples plus 100 term vectors of phi(100) = 40 coefficients
+    assert exc.value.estimate == 100 ** 3 + 100 * 40
     assert exc.value.budget == 10
     assert "raise the budget" in str(exc.value)
 
