@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
-    CycNum, _map_coeffs, _power_table, _root_turn, _to_int_scaled, phi, root_of_unity, unit_roots,
+    CycNum, _map_coeffs, _power_table, _root_turn, _to_int_scaled, phi, root_of_unity,
 )
 from .errors import CapExceeded, WorkBudgetExceeded
 
@@ -186,7 +186,9 @@ class RelationTuple:
     """Roots of unity with rational weights summing to a declared target.
 
     When `minimal` is set, no nonempty proper subset of the weighted
-    terms sums to zero; the constructor re-checks that claim.
+    terms sums to zero; the constructor re-checks that claim.  Both
+    checks run on int rows of the root table (`_term_rows`), with no
+    field products.
     """
 
     roots: tuple
@@ -206,20 +208,15 @@ class RelationTuple:
             raise ValueError("roots and coeffs must be nonempty and equal length")
         if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
-        for r in roots:
-            if not isinstance(r, CycNum):
-                raise ValueError("roots must be CycNum values")
-            if _root_turn(r) is None:
-                raise ValueError(f"{r!r} is not a root of unity")
-        total = CycNum.zero()
-        for r, c in zip(roots, coeffs):
-            total = total + r * c
-        if total != target:
+        rows, conductor = _term_rows(roots, coeffs, target.conductor)
+        den = _to_int_scaled(coeffs)[1]
+        lifted = _map_coeffs(target.coeffs, target.conductor, conductor)
+        if tuple(map(sum, zip(*rows))) != tuple(den * x for x in lifted):
             raise ValueError("weighted sum does not equal the target")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "target", target)
-        if self.minimal and subsum_vanishes(self) is not None:
+        if self.minimal and _first_vanishing_subset(rows) is not None:
             raise ValueError("tuple marked minimal but a proper subsum vanishes")
 
     def __len__(self):
@@ -236,28 +233,38 @@ class MannCertificate:
     witness: Optional[tuple] = None
 
 
-def _item_vectors(roots, coeffs):
-    """Weighted terms as coefficient tuples in a common conductor."""
-    conductor = 1
-    for r in roots:
-        conductor = math.lcm(conductor, r.conductor)
-    return [(r.lift(conductor) * c).coeffs for r, c in zip(roots, coeffs)]
-
-
-def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
-    """First nonempty proper index subset of t whose weighted sum is zero.
-
-    Returns the subset as a sorted tuple of indices, or None.  The scan
-    is incremental over subsets containing each newest term, so every
-    subset is formed exactly once.  Tuples longer than `cap` are refused.
+def _term_rows(roots, coeffs, conductor=1):
+    """Terms c * zeta_M^e as rows e n/M of `_power_table(n)`, returned with n,
+    the lcm of `conductor` and the orders M.  Rows are scaled by c times the
+    coefficients' common denominator, so they sum to that denominator times
+    the weighted sum.  Raises ValueError on a root that is not a root of unity.
     """
-    k = len(t)
+    turns = []
+    for r in roots:
+        if not isinstance(r, CycNum):
+            raise ValueError("roots must be CycNum values")
+        turn = _root_turn(r)
+        if turn is None:
+            raise ValueError(f"{r!r} is not a root of unity")
+        turns.append(turn)
+    n = math.lcm(conductor, *(t.denominator for t in turns))
+    table, (scaled, _) = _power_table(n), _to_int_scaled(coeffs)
+    index = [t.numerator * n // t.denominator for t in turns]
+    return [tuple(s * x for x in table[i]) for i, s in zip(index, scaled)], n
+
+
+def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
+    """First nonempty proper index subset of `rows` summing to zero, or None.
+
+    The scan is incremental over subsets containing each newest row, so
+    every subset is formed exactly once.  More than `cap` rows are refused.
+    """
+    k = len(rows)
     if k > cap:
         raise CapExceeded(f"subset scan capped at {cap} terms, got {k}")
     # a tested subset has at most k terms
-    vecs = pack_vectors(_item_vectors(t.roots, t.coeffs), k)
     entries = []
-    for i, v in enumerate(vecs):
+    for i, v in enumerate(pack_vectors(rows, k)):
         fresh = [((i,), v)]
         for idx, s in entries:
             fresh.append((idx + (i,), s + v))
@@ -266,6 +273,12 @@ def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
                 return idx
         entries.extend(fresh)
     return None
+
+
+def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
+    """First nonempty proper index subset of t whose weighted sum is zero, as
+    sorted indices, or None.  Tuples longer than `cap` are refused."""
+    return _first_vanishing_subset(_term_rows(t.roots, t.coeffs)[0], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +517,15 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     of targets).
     """
     charge_target_scan(k, m, coeff_set, budget)
-    roots = unit_roots(m)
+    table = _power_table(m)
     targets = {}
     for e1 in range(m):
         for c1 in coeff_set:
             for e2 in range(e1, m):
                 for c2 in coeff_set:
-                    a = roots[e1] * c1 + roots[e2] * c2
-                    if not a.is_zero():
-                        targets.setdefault(a.coeffs, a)
+                    key = tuple(c1 * x + c2 * y for x, y in zip(table[e1], table[e2]))
+                    if any(key) and key not in targets:
+                        targets[key] = CycNum(m, key)
     worst = 0
     worst_target = None
     for a in targets.values():

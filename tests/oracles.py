@@ -238,6 +238,25 @@ def brute_target_relations(avec, k: int, m: int, coeff_set) -> set:
     return found
 
 
+def first_vanishing_subset(terms):
+    """First nonempty proper subset of the LongForm `terms` whose sum
+    reduces to zero, as sorted indices, or None.
+
+    Subsets are tried in bit-mask order (index i is bit i), which is the
+    order `subsum_vanishes` reports; each sum is formed from scratch.
+    """
+    k = len(terms)
+    n = terms[0].n
+    for mask in range(1, 2 ** k - 1):
+        idx = tuple(i for i in range(k) if mask >> i & 1)
+        s = LongForm(n, [0] * n)
+        for i in idx:
+            s = s.add(terms[i])
+        if not any(s.reduced()):
+            return idx
+    return None
+
+
 def verify_minimal_vanishing(t) -> bool:
     """Re-check a RelationTuple's vanishing and minimality claims with
     LongForm sums over every subset, from scratch."""
@@ -251,17 +270,7 @@ def verify_minimal_vanishing(t) -> bool:
     total = LongForm(n, [0] * n)
     for v in vecs:
         total = total.add(v)
-    if any(total.reduced()):
-        return False
-    k = len(vecs)
-    for size in range(1, k):
-        for sub in combinations(range(k), size):
-            s = LongForm(n, [0] * n)
-            for i in sub:
-                s = s.add(vecs[i])
-            if not any(s.reduced()):
-                return False
-    return True
+    return not any(total.reduced()) and first_vanishing_subset(vecs) is None
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,12 @@ def test_mann_errors(capsys, args):
 
 
 def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):
-    def no_roots(m):
-        raise RuntimeError(f"unit_roots({m}) reached")
+    def no_table(m):
+        raise RuntimeError(f"_power_table({m}) reached")
 
-    # the enumeration alone passes the budget; the whole scan does not
-    monkeypatch.setattr(mann, "unit_roots", no_roots)
+    # the enumeration alone passes the budget; the whole scan does not,
+    # and it is refused before the scan reads its first table
+    monkeypatch.setattr(mann, "_power_table", no_table)
     assert run(["mann", "--k", 2, "--modulus", 3000, "--target-scan"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds budget" in err

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclolab import (
     CapExceeded,
@@ -200,7 +200,7 @@ def test_relations_need_no_powers_or_root_lists(monkeypatch, tmp_path):
     # every root-of-unity decision is a lookup, not a power or a root list
     monkeypatch.setattr(CycNum, "__pow__", refuse)
     monkeypatch.setattr(cyclotomic, "unit_roots", refuse)
-    monkeypatch.setattr(mann, "unit_roots", refuse)
+    monkeypatch.setattr(mann, "unit_roots", refuse, raising=False)
     rels = enumerate_minimal_vanishing_sums(3, 12, (ONE, -ONE))
     assert rels and all(certify_mann(t).verdict for t in rels)
     hits = enumerate_target_relations(root_of_unity(1, 12) + 1, 2, 12, (ONE,))
@@ -214,6 +214,34 @@ def test_relations_need_no_powers_or_root_lists(monkeypatch, tmp_path):
     )
     serialize.save_relations(tmp_path / "rel.json", rels + hits + [third])
     assert serialize.load_relations(tmp_path / "rel.json") == rels + hits + [third]
+
+
+def test_relation_checks_make_no_field_products(monkeypatch, tmp_path):
+    from cyclolab import mann, serialize
+
+    def refuse(*args):
+        raise AssertionError("relation checked by field arithmetic")
+
+    target = root_of_unity(1, 12) + 1
+    # relations are checked, and targets swept, on int rows of the root table
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "lift"):
+        monkeypatch.setattr(CycNum, name, refuse)
+    half = Fraction(1, 2)
+    assert mann.two_term_target_scan(2, 6, (1, -1, 2, -2, half, -half)) == (24, "1 + z6", 108)
+    rels = enumerate_minimal_vanishing_sums(3, 12, (ONE, -ONE))
+    hits = enumerate_target_relations(target, 2, 12, (ONE,))
+    assert len(rels) == 4 and len(hits) == 2
+    third = RelationTuple(
+        roots=tuple(root_of_unity(e, 3) for e in range(3)),
+        coeffs=(ONE, ONE, ONE),
+        target=CycNum.zero(),
+        minimal=True,
+    )
+    serialize.save_relations(tmp_path / "rel.json", rels + hits + [third])
+    loaded = serialize.load_relations(tmp_path / "rel.json")
+    # comparing roots saved at another conductor lifts them
+    monkeypatch.undo()
+    assert loaded == rels + hits + [third]
 
 
 _PACK_COORDS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
@@ -253,20 +281,41 @@ def fifth_roots_relation():
 
 
 def test_relation_tuple_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty and equal length"):
         RelationTuple(roots=(), coeffs=(), target=CycNum.zero())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be nonzero"):
         RelationTuple(
             roots=(CycNum.one(),), coeffs=(Fraction(0),), target=CycNum.zero()
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact rationals, not floats"):
         RelationTuple(roots=(CycNum.one(),), coeffs=(0.5,), target=CycNum.one())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^CycNum\(1, \[2\]\) is not a root of unity$"):
         # 2 is not a root of unity
         RelationTuple(roots=(CycNum.from_rational(2),), coeffs=(ONE,), target=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^CycNum\(1, \[0\]\) is not a root of unity$"):
+        RelationTuple(roots=(CycNum.zero(),), coeffs=(ONE,), target=0)
+    # roots are checked one at a time, type before value
+    with pytest.raises(ValueError, match=r"^CycNum\(1, \[2\]\) is not a root of unity$"):
+        RelationTuple(roots=(CycNum.from_rational(2), 1), coeffs=(ONE, ONE), target=3)
+    with pytest.raises(ValueError, match="^roots must be CycNum values$"):
+        RelationTuple(roots=(CycNum.one(), 1, CycNum.from_rational(2)), coeffs=(ONE,) * 3, target=4)
+    with pytest.raises(ValueError, match="^weighted sum does not equal the target$"):
         # declared sum does not match
         RelationTuple(roots=(CycNum.one(),), coeffs=(ONE,), target=CycNum.zero())
+    with pytest.raises(ValueError, match="^tuple marked minimal but a proper subsum vanishes$"):
+        RelationTuple(
+            roots=(CycNum.one(), CycNum.from_rational(-1), CycNum.one(), CycNum.from_rational(-1)),
+            coeffs=(ONE,) * 4,
+            target=0,
+            minimal=True,
+        )
+    with pytest.raises(CapExceeded, match="^subset scan capped at 12 terms, got 13$"):
+        RelationTuple(
+            roots=tuple(root_of_unity(e, 13) for e in range(13)),
+            coeffs=(ONE,) * 13,
+            target=CycNum.zero(),
+            minimal=True,
+        )
 
 
 def test_relation_tuple_minimal_flag_rechecked():
@@ -284,6 +333,78 @@ def test_subsum_vanishes_finds_first_subset():
     t = RelationTuple(roots=roots, coeffs=(ONE,) * 3, target=root_of_unity(1, 4))
     assert subsum_vanishes(t) == (0, 1)
     assert subsum_vanishes(fifth_roots_relation()) is None
+
+
+_REL_COEFFS = st.sampled_from((ONE, -ONE, Fraction(2), Fraction(1, 2), Fraction(-3, 4)))
+# (order M, exponent, lift factor, coefficient); a root of order 1 or 2
+# with lift factor 1 is given as +-1 at conductor 1
+_REL_TERM = st.tuples(
+    st.sampled_from((1, 2, 3, 4, 5, 6)), st.integers(0, 59), st.sampled_from((1, 2)), _REL_COEFFS
+)
+# a lone term, a term with its negation, or c times every root of order 3 or 5
+_REL_BLOCK = st.one_of(
+    _REL_TERM.map(lambda t: [t]),
+    _REL_TERM.map(lambda t: [t, (t[0], t[1], 3 - t[2], -t[3])]),
+    st.tuples(st.sampled_from((3, 5)), st.sampled_from((1, 2)), _REL_COEFFS).map(
+        lambda b: [(b[0], e, b[1], b[2]) for e in range(b[0])]
+    ),
+)
+
+
+def _rel_root(order, e, lift):
+    if order <= 2 and lift == 1:
+        return CycNum.from_rational((-1) ** (e % order))
+    return root_of_unity(e, order).lift(order * lift)
+
+
+@given(
+    st.lists(_REL_BLOCK, min_size=1, max_size=3).map(lambda bs: [t for b in bs for t in b]),
+    st.randoms(use_true_random=False),
+    st.sampled_from(("sum", "rational", "drop", "extra")),
+    _REL_TERM,
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_relation_checks_match_longform_sums(terms, rng, mode, extra, minimal):
+    from math import lcm
+
+    assume(len(terms) <= 6)
+    rng.shuffle(terms)
+    roots = tuple(_rel_root(order, e, lift) for order, e, lift, _ in terms)
+    coeffs = tuple(c for *_, c in terms)
+    n = lcm(*(order * lift for order, _, lift, _ in terms + [extra]))
+
+    def longform(order, e, lift, c):
+        return oracles.LongForm(n, [c * v for v in oracles.LongForm.root(n, e * n // order).vec])
+
+    parts = [longform(*t) for t in terms]
+    total = oracles.LongForm(n, [0] * n)
+    for part in parts:
+        total = total.add(part)
+    value = CycNum.zero()
+    for r, c in zip(roots, coeffs):
+        value = value + r * c
+    if mode == "sum":
+        target, target_lf = value, total
+    elif mode == "rational":
+        # a rational sum descends to conductor 1, so odd root orders meet
+        # an odd common conductor
+        q = value.as_rational() if value.is_rational() else coeffs[0]
+        target, target_lf = CycNum.from_rational(q), oracles.LongForm.from_rational(n, q)
+    elif mode == "drop":
+        target, target_lf = value - roots[-1] * coeffs[-1], total.sub(parts[-1])
+    else:
+        target = value + _rel_root(*extra[:3]) * extra[3]
+        target_lf = total.add(longform(*extra))
+    first = oracles.first_vanishing_subset(parts)
+    expected = target_lf.reduced() == total.reduced() and not (minimal and first is not None)
+    try:
+        RelationTuple(roots=roots, coeffs=coeffs, target=target, minimal=minimal)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+    assert subsum_vanishes(RelationTuple(roots=roots, coeffs=coeffs, target=value)) == first
 
 
 def test_subsum_cap():
