@@ -544,6 +544,7 @@ def change_conductor(x: CycNum, conductor: int) -> CycNum:
     return CycNum(n0, coeffs).lift(conductor)
 
 
+@lru_cache(maxsize=1 << 12)
 def root_of_unity(e: int, n: int) -> CycNum:
     """zeta_n^e as an element of Q(zeta_n)."""
     if n < 1:
@@ -643,9 +644,15 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
 def _root_turn(r) -> Optional[Fraction]:
     """e/M when r = zeta_M^e, as a fraction of a full turn; None when r is
     not a root of unity (zero included)."""
-    if r.is_zero():
+    return _turn(r.conductor, r.coeffs)
+
+
+@lru_cache(maxsize=1 << 12)
+def _turn(conductor, coeffs):
+    """`_root_turn` of the element CycNum(conductor, coeffs), memoised."""
+    if not any(coeffs):
         return None
-    form = classify_rational_angle(r)
+    form = classify_rational_angle(CycNum(conductor, coeffs))
     if form is None or form.length != 1:
         return None
     return Fraction(form.exponent, form.modulus)

@@ -311,16 +311,20 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
     path = [source]
 
     def rec(cur, depth):
-        if depth == k:
-            counts[cur] = counts.get(cur, 0) + 1
-            if collect and (target is None or cur == target):
-                records.append(_make_record(g, path, shortest_only))
-            return
+        last = depth == k - 1
         for u in g.adjacency[cur]:
             d = g.edge_vector(cur, u)
             if tracker.conflicts(d):
                 continue
             if shortest_only and not _admissible_shortest(g, cur, u, path, vertex_scope):
+                continue
+            if last:
+                # the last step is counted without a push: nothing extends it
+                counts[u] = counts.get(u, 0) + 1
+                if collect and (target is None or u == target):
+                    path.append(u)
+                    records.append(_make_record(g, path, shortest_only))
+                    path.pop()
                 continue
             tracker.push(d)
             path.append(u)

@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
-    CycNum, _map_coeffs, _power_table, _root_turn, _to_int_scaled, phi, root_of_unity,
+    CycNum, _as_fraction, _map_coeffs, _power_table, _root_turn, _to_int_scaled, phi,
+    root_of_unity,
 )
 from .errors import CapExceeded, WorkBudgetExceeded
 
@@ -200,7 +202,7 @@ class RelationTuple:
         roots = tuple(self.roots)
         if any(isinstance(c, float) for c in self.coeffs):
             raise ValueError("coefficients must be exact rationals, not floats")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(map(_as_fraction, self.coeffs))
         target = CycNum._coerce(self.target)
         if target is None:
             raise ValueError("target must be a CycNum or rational")
@@ -208,10 +210,10 @@ class RelationTuple:
             raise ValueError("roots and coeffs must be nonempty and equal length")
         if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
-        rows, conductor = _term_rows(roots, coeffs, target.conductor)
-        den = _to_int_scaled(coeffs)[1]
-        lifted = _map_coeffs(target.coeffs, target.conductor, conductor)
-        if tuple(map(sum, zip(*rows))) != tuple(den * x for x in lifted):
+        rows, conductor, den = _term_rows(roots, coeffs, target.conductor)
+        lifted, tden = _lifted_target(target.conductor, target.coeffs, conductor)
+        # the rows sum to den * (weighted sum), the target is lifted / tden
+        if tuple(tden * x for x in map(sum, zip(*rows))) != tuple(den * x for x in lifted):
             raise ValueError("weighted sum does not equal the target")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "coeffs", coeffs)
@@ -235,9 +237,10 @@ class MannCertificate:
 
 def _term_rows(roots, coeffs, conductor=1):
     """Terms c * zeta_M^e as rows e n/M of `_power_table(n)`, returned with n,
-    the lcm of `conductor` and the orders M.  Rows are scaled by c times the
-    coefficients' common denominator, so they sum to that denominator times
-    the weighted sum.  Raises ValueError on a root that is not a root of unity.
+    the lcm of `conductor` and the orders M, and the coefficients' common
+    denominator.  Rows are scaled by c times that denominator, so they sum
+    to it times the weighted sum.  Raises ValueError on a root that is not
+    a root of unity.
     """
     turns = []
     for r in roots:
@@ -248,9 +251,17 @@ def _term_rows(roots, coeffs, conductor=1):
             raise ValueError(f"{r!r} is not a root of unity")
         turns.append(turn)
     n = math.lcm(conductor, *(t.denominator for t in turns))
-    table, (scaled, _) = _power_table(n), _to_int_scaled(coeffs)
+    table, (scaled, den) = _power_table(n), _to_int_scaled(coeffs)
     index = [t.numerator * n // t.denominator for t in turns]
-    return [tuple(s * x for x in table[i]) for i, s in zip(index, scaled)], n
+    return [tuple(s * x for x in table[i]) for i, s in zip(index, scaled)], n, den
+
+
+@lru_cache(maxsize=1 << 8)
+def _lifted_target(n, coeffs, conductor):
+    """Conductor-n coefficients lifted to `conductor`, as (int tuple, common
+    denominator); relations of one target share it."""
+    ints, den = _to_int_scaled(_map_coeffs(coeffs, n, conductor))
+    return tuple(ints), den
 
 
 def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
@@ -436,38 +447,53 @@ def enumerate_target_relations(
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
-    conductor = math.lcm(a.conductor, m)
-    _charge(k, m, cs, phi(conductor), budget)
+    _charge(k, m, cs, phi(math.lcm(a.conductor, m)), budget)
+    return _target_relations([a], k, m, cs)[0]
 
+
+def _target_relations(targets, k: int, m: int, cs) -> list:
+    """`enumerate_target_relations` for each of several nonzero targets.
+
+    One prefix search serves them all: the (k-1)-term prefixes do not
+    depend on the target, so each prefix closes every target by a lookup
+    of its residual.  `cs` is a validated coefficient list; nothing is
+    charged here.  Returns one relation list per target, in order.
+    """
+    conductor = math.lcm(m, *(a.conductor for a in targets))
     terms = [(e, c) for e in range(m) for c in cs]
     scaled, den = _to_int_scaled(cs)
     rows = _power_table(conductor)[:: conductor // m]  # row e is zeta_m^e
-    # the closing test combines the target, k - 1 prefix terms and
+    # the closing test combines a target, k - 1 prefix terms and
     # c*zeta^e, all scaled by den
-    apack, *tpacks = pack_vectors(
-        [[den * x for x in _map_coeffs(a.coeffs, a.conductor, conductor)]]
+    packs = pack_vectors(
+        [[den * x for x in _map_coeffs(a.coeffs, a.conductor, conductor)] for a in targets]
         + [[s * x for x in row] for row in rows for s in scaled],
         k + 1,
     )
+    apacks, tpacks = packs[: len(targets)], packs[len(targets) :]
     # terms with equal values share a closing list; each closes with its own
     # last exponent, so the list order does not change the recorded witnesses
     closing = {}
     for term, p in zip(terms, tpacks):
         closing.setdefault(p, []).append(term)
 
-    found = {}
+    founds = [{} for _ in targets]
     tracker = SubsetSumTracker()
     prefix = []
 
     def close():
-        residual = apack - tracker.total
-        # any proper subset containing the last term would sum to zero
-        # iff -residual already occurs among the prefix subset sums
-        if tracker.conflicts(residual):
-            return
-        for e, c in closing.get(residual, ()):
-            exps = tuple(e0 for e0, _ in prefix) + (e,)
-            found.setdefault(exps, tuple(c0 for _, c0 in prefix) + (c,))
+        total = tracker.total
+        for apack, found in zip(apacks, founds):
+            residual = apack - total
+            last = closing.get(residual)
+            # any proper subset containing the last term would sum to zero
+            # iff -residual already occurs among the prefix subset sums
+            if last is None or tracker.conflicts(residual):
+                continue
+            exps = tuple(e0 for e0, _ in prefix)
+            cos = tuple(c0 for _, c0 in prefix)
+            for e, c in last:
+                found.setdefault(exps + (e,), cos + (c,))
 
     def extend(depth):
         if depth == k - 1:
@@ -484,18 +510,18 @@ def enumerate_target_relations(
 
     extend(0)
 
-    out = []
-    for exps in sorted(found):
-        coeffs = found[exps]
-        out.append(
+    return [
+        [
             RelationTuple(
                 roots=tuple(root_of_unity(e, m) for e in exps),
-                coeffs=coeffs,
+                coeffs=found[exps],
                 target=a,
                 minimal=True,
             )
-        )
-    return out
+            for exps in sorted(found)
+        ]
+        for a, found in zip(targets, founds)
+    ]
 
 
 def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
@@ -513,23 +539,25 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     Targets are swept with e1, c1, e2 >= e1, c2 nested in that order and
     kept once each; the witness is the first target reaching the largest
     census.  The whole scan is charged against the budget once, up
-    front.  Returns (worst, str of the witness target or None, number
-    of targets).
+    front, and one enumeration censuses every target.  Returns (worst,
+    str of the witness target or None, number of targets).
     """
     charge_target_scan(k, m, coeff_set, budget)
+    if k < 1:
+        raise ValueError("length must be at least 1")
     table = _power_table(m)
-    targets = {}
+    keyed = {}
     for e1 in range(m):
         for c1 in coeff_set:
             for e2 in range(e1, m):
                 for c2 in coeff_set:
                     key = tuple(c1 * x + c2 * y for x, y in zip(table[e1], table[e2]))
-                    if any(key) and key not in targets:
-                        targets[key] = CycNum(m, key)
+                    if any(key) and key not in keyed:
+                        keyed[key] = CycNum(m, key)
+    targets = list(keyed.values())
     worst = 0
     worst_target = None
-    for a in targets.values():
-        hits = enumerate_target_relations(a, k, m, coeff_set, budget=budget)
+    for a, hits in zip(targets, _target_relations(targets, k, m, _validate_coeff_set(coeff_set))):
         if len(hits) > worst:
             worst = len(hits)
             worst_target = str(a)

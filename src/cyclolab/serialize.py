@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum, _root_turn, phi, root_of_unity
 from .distgraph import MODES, AnalysisReport
-from .mann import RelationTuple
+from .errors import WorkBudgetExceeded
+from .mann import WORK_BUDGET, RelationTuple
 from .pointsets import PointSet
 
 FORMAT_VERSION = 1
@@ -148,10 +149,18 @@ def obj_to_relation(d) -> RelationTuple:
         raise ValueError("relation length disagrees with its roots")
     if not isinstance(minimal, bool):
         raise ValueError("minimal must be true or false")
+    coeffs = tuple(str_to_fraction(c) for c in coeffs)
+    target = obj_to_cycnum(d["target"])
+    # the check builds the n-row root table of Q(zeta_n), n * phi(n) ints;
+    # n alone bounds that from below, so phi(n) is only taken for small n
+    n = math.lcm(2, m, target.conductor)
+    work = n if n > WORK_BUDGET else n * phi(n)
+    if work > WORK_BUDGET:
+        raise WorkBudgetExceeded(work, WORK_BUDGET)
     return RelationTuple(
         roots=tuple(root_of_unity(e, m) for e in exps),
-        coeffs=tuple(str_to_fraction(c) for c in coeffs),
-        target=obj_to_cycnum(d["target"]),
+        coeffs=coeffs,
+        target=target,
         minimal=minimal,
     )
 

@@ -392,6 +392,17 @@ def test_malformed_relation_rejected(monkeypatch, change):
         serialize.obj_to_relation(dict(_HAND_RELATION, **change))
 
 
+@pytest.mark.parametrize("conductor", [30030, 10 ** 30])
+def test_relation_conductor_charged_before_any_root(monkeypatch, conductor):
+    def refuse(n):
+        raise AssertionError(f"cyclotomic_polynomial({n}) reached")
+
+    # the root table a relation's check needs is charged before any root is built
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", refuse)
+    with pytest.raises(WorkBudgetExceeded):
+        serialize.obj_to_relation(dict(_HAND_RELATION, **_ONE_TERM, conductor=conductor))
+
+
 def test_report_roundtrip_fields(tmp_path):
     from cyclolab import analyze, erdos_purdy
 

@@ -25,6 +25,7 @@ from cyclolab import (
     relation_count_bound,
     root_of_unity,
     subsum_vanishes,
+    two_term_target_scan,
 )
 
 import oracles
@@ -318,6 +319,42 @@ def test_relation_tuple_validation():
         )
 
 
+def _turn_probes():
+    z12 = root_of_unity(1, 12)
+    yield from (root_of_unity(e, n) for n in (1, 3, 5, 12) for e in range(n))
+    # roots lifted to a conductor above their order
+    yield from (root_of_unity(e, 3).lift(12) for e in range(3))
+    yield from (root_of_unity(e, 5).lift(10) for e in range(5))
+    # scaled roots and sums that are not roots of unity
+    yield from (z12 * 2, z12 * Fraction(1, 2), z12 + 1, CycNum.from_rational(2))
+    yield root_of_unity(2, 5) * -3
+
+
+def test_root_turn_cache_matches_brute_classify():
+    from cyclolab import cyclotomic
+
+    cyclotomic._turn.cache_clear()
+    for _ in range(2):
+        # the second sweep is answered from the cache
+        for r in _turn_probes():
+            brute = oracles.brute_classify(r)
+            want = Fraction(brute[1], brute[2]) if brute and brute[0] == 1 else None
+            assert cyclotomic._root_turn(r) == want, r
+    assert cyclotomic._turn.cache_info().hits > 0
+
+
+def test_cached_non_root_still_refused():
+    from cyclolab import cyclotomic
+
+    half = root_of_unity(1, 12) * Fraction(1, 2)
+    for _ in range(2):
+        # the second refusal reads the cached None
+        assert cyclotomic._root_turn(half) is None
+        message = r"^CycNum\(12, \[0, 1/2, 0, 0\]\) is not a root of unity$"
+        with pytest.raises(ValueError, match=message):
+            RelationTuple(roots=(half,), coeffs=(ONE,), target=half)
+
+
 def test_relation_tuple_minimal_flag_rechecked():
     roots = (CycNum.one(), CycNum.from_rational(-1), root_of_unity(1, 4))
     coeffs = (ONE, ONE, ONE)
@@ -587,6 +624,77 @@ def test_target_census_within_bound_spot():
     coeffs = (ONE, -ONE, Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2))
     hits = enumerate_target_relations(a, 2, 12, coeffs)
     assert 1 <= len(hits) <= relation_count_bound(2)
+
+
+def _brute_scan(k, m, coeffs):
+    """Per-target reference for two_term_target_scan: the same sweep, each
+    target censused by the brute-force oracle."""
+    census = {}
+    for e1 in range(m):
+        for c1 in coeffs:
+            for e2 in range(e1, m):
+                for c2 in coeffs:
+                    term1 = oracles.LongForm.root(m, e1).mul(oracles.LongForm.from_rational(m, c1))
+                    term2 = oracles.LongForm.root(m, e2).mul(oracles.LongForm.from_rational(m, c2))
+                    vec = term1.add(term2).reduced()
+                    if any(vec) and vec not in census:
+                        census[vec] = len(oracles.brute_target_relations(vec, k, m, coeffs))
+    worst, witness = 0, None
+    for vec, count in census.items():
+        if count > worst:
+            worst, witness = count, str(CycNum(m, vec))
+    return worst, witness, len(census)
+
+
+@pytest.mark.parametrize(
+    "k,m,coeffs",
+    [
+        (2, 4, (2, -1, 1)),
+        (2, 6, (Fraction(-1, 2), 1, -1, Fraction(1, 2))),
+        (3, 4, (2, -1)),
+        (3, 6, (1, -1)),
+    ],
+)
+def test_target_scan_matches_brute_per_target(k, m, coeffs):
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    assert two_term_target_scan(k, m, coeffs) == _brute_scan(k, m, coeffs)
+
+
+def test_target_core_matches_one_call_per_target():
+    from cyclolab import mann
+
+    z4 = root_of_unity(1, 4)
+    # targets of several conductors share one search at their common conductor
+    targets = [
+        CycNum.from_rational(2),
+        z4 + 1,
+        CycNum.one() + root_of_unity(1, 3),
+        z4 * Fraction(-1, 2) + root_of_unity(3, 4) * 2,
+        root_of_unity(1, 12),
+    ]
+    coeffs = (ONE, -ONE, Fraction(2), Fraction(1, 2))
+    for k in (1, 2, 3):
+        together = mann._target_relations(targets, k, 4, mann._validate_coeff_set(coeffs))
+        alone = [enumerate_target_relations(a, k, 4, coeffs) for a in targets]
+        # equal tuples: same roots, same first coefficient witnesses
+        assert together == alone
+    assert any(together)
+
+
+def test_target_scan_builds_one_tracker(monkeypatch):
+    from cyclolab import mann
+
+    built = []
+
+    class Counting(mann.SubsetSumTracker):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(mann, "SubsetSumTracker", Counting)
+    half = Fraction(1, 2)
+    assert two_term_target_scan(2, 6, (1, -1, 2, -2, half, -half)) == (24, "1 + z6", 108)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
