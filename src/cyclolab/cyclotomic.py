@@ -38,46 +38,37 @@ def _poly_mul_int(a, b):
     return out
 
 
-def _poly_div_exact_monic(num, den):
-    """Divide num by a monic den, both integer coefficient lists.
-
-    Returns (quotient, remainder).  Exactness is the caller's concern.
-    """
-    num = list(num)
-    dn = len(den) - 1
-    if len(num) - 1 < dn:
-        return [], num
-    q = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            q[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    return q, num[:dn]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
-    Computed by the recursion Phi_n = (x^n - 1) / prod(Phi_d for proper
-    divisors d of n).  The divisor product is monic, so the integer
-    division is exact.
+    With r the product of the primes dividing n, Phi_n(x) = Phi_r(x^(n/r))
+    and, for r > 1, Phi_r = prod over d | r of (1 - x^d)^mu(r/d).  Each
+    factor is a power series in Z[[x]] with constant term 1, so the product
+    taken modulo x^(phi(r)+1) is exact and equals the polynomial Phi_r of
+    degree phi(r); divisors d > phi(r) do not touch those terms.
     """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
     if n == 1:
         return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    den = (1,)
-    for d in range(1, n):
-        if n % d == 0:
-            den = tuple(_poly_mul_int(den, cyclotomic_polynomial(d)))
-    q, r = _poly_div_exact_monic(num, den)
-    if any(r):
-        raise AssertionError(f"inexact cyclotomic division for n={n}")
-    return tuple(q)
+    primes = _prime_factors(n)
+    r = math.prod(primes)
+    deg = phi(r)
+    a = [1] + [0] * deg
+    divisors = [(1, (-1) ** len(primes))]  # (d, mu(r/d)) for d | r
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    for d, mu in divisors:
+        if mu > 0:  # multiply by 1 - x^d
+            for i in range(deg, d - 1, -1):
+                a[i] -= a[i - d]
+        else:  # divide by 1 - x^d
+            for i in range(d, deg + 1):
+                a[i] += a[i - d]
+    out = [0] * (deg * (n // r) + 1)
+    out[:: n // r] = a
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -9,12 +9,13 @@ class WorkBudgetExceeded(ValueError):
     """An enumeration would visit more states than the configured budget allows.
 
     The estimate that tripped the guard is kept on the exception so callers
-    can report it.
+    can report it.  A caller that takes no budget passes its own message.
     """
 
-    def __init__(self, estimate: int, budget: int):
+    def __init__(self, estimate: int, budget: int, message: str = ""):
         super().__init__(
-            f"estimated work {estimate} exceeds budget {budget}; "
+            message
+            or f"estimated work {estimate} exceeds budget {budget}; "
             "raise the budget explicitly to proceed"
         )
         self.estimate = estimate

@@ -156,7 +156,12 @@ def obj_to_relation(d) -> RelationTuple:
     n = math.lcm(2, m, target.conductor)
     work = n if n > WORK_BUDGET else n * phi(n)
     if work > WORK_BUDGET:
-        raise WorkBudgetExceeded(work, WORK_BUDGET)
+        raise WorkBudgetExceeded(
+            work,
+            WORK_BUDGET,
+            f"relation root table at conductor {n} is too large to check "
+            f"(over {WORK_BUDGET} entries)",
+        )
     return RelationTuple(
         roots=tuple(root_of_unity(e, m) for e in exps),
         coeffs=coeffs,

@@ -1,6 +1,7 @@
 """Command line behaviour plus serialization round trips."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -25,6 +26,21 @@ def test_gen_erdos_purdy(tmp_path, capsys):
     ps = serialize.load_pointset(out)
     assert len(ps) == 4
     assert ps.provenance["name"] == "erdos_purdy"
+
+
+@pytest.mark.parametrize(
+    "levels, digest",
+    [
+        (3, "69e1e43f01e892c01e72904bb9fef685606782a9f6aa932446f8e44259743e04"),
+        (5, "818f852590c30c6089e5c636e6f07b7d25b6ddbbce4e40131a7b10d7e6262f7e"),
+    ],
+    ids=["L3", "L5"],
+)
+def test_gen_erdos_purdy_file_bytes(tmp_path, levels, digest):
+    # the kernel's output bytes are pinned, not only their round trip
+    out = tmp_path / "ep.json"
+    assert run(["gen", "erdos-purdy", "--levels", levels, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_grid_default_filename(tmp_path, monkeypatch):
@@ -401,6 +417,24 @@ def test_relation_conductor_charged_before_any_root(monkeypatch, conductor):
     monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", refuse)
     with pytest.raises(WorkBudgetExceeded):
         serialize.obj_to_relation(dict(_HAND_RELATION, **_ONE_TERM, conductor=conductor))
+
+
+def test_relation_root_table_error_gives_no_budget_advice():
+    # the loader takes no budget, so its refusal must not ask for one
+    with pytest.raises(WorkBudgetExceeded) as info:
+        serialize.obj_to_relation(dict(_HAND_RELATION, **_ONE_TERM, conductor=30030))
+    assert str(info.value) == (
+        "relation root table at conductor 30030 is too large to check "
+        "(over 100000000 entries)"
+    )
+
+
+def test_mann_budget_error_keeps_its_advice(capsys):
+    assert run(["mann", "--k", 3, "--modulus", 60, "--budget", 10]) == 2
+    assert capsys.readouterr().err == (
+        "error: estimated work 216960 exceeds budget 10; "
+        "raise the budget explicitly to proceed\n"
+    )
 
 
 def test_report_roundtrip_fields(tmp_path):

@@ -21,7 +21,7 @@ from cyclolab import (
     root_of_unity,
     unit_roots,
 )
-from cyclolab.cyclotomic import _roots_index
+from cyclolab.cyclotomic import _poly_mul_int, _roots_index
 
 import oracles
 
@@ -30,9 +30,24 @@ import oracles
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", list(range(1, 121)) + [128, 210, 255])
+@pytest.mark.parametrize("n", list(range(1, 121)) + [128, 210, 255, 420, 1260, 2310, 13860])
 def test_cyclotomic_polynomial_matches_sympy(n):
     assert cyclotomic_polynomial(n) == oracles.phi_coeffs(n)
+
+
+def test_divisor_product_is_x_n_minus_1():
+    for n in range(1, 301):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul_int(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_cyclotomic_polynomial_builds_no_divisor_polynomials():
+    cyclotomic_polynomial.cache_clear()
+    cyclotomic_polynomial(13860)
+    assert cyclotomic_polynomial.cache_info().currsize == 1
 
 
 def test_cyclotomic_polynomial_known_values():
