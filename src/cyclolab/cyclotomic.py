@@ -2,10 +2,13 @@
 
 Elements live in Q(zeta_N) for a declared conductor N and are stored as
 coefficient vectors over the power basis 1, zeta, ..., zeta^(phi(N)-1),
-reduced modulo the N-th cyclotomic polynomial.  All coefficients are
-`fractions.Fraction`; equality and the zero test are exact because the
-basis representation is canonical.  Floating point enters only through
-`approx_complex` and the interval fallback of `real_sign`.
+reduced modulo the N-th cyclotomic polynomial.  The coefficients are int
+numerators over one positive denominator, in lowest terms, and all
+arithmetic runs on those ints; `Fraction`s appear only at the boundary
+(the public constructor and the `coeffs` view).  Equality and the zero
+test are exact because the representation is canonical.  Floating point
+enters only through `approx_complex` and the interval fallback of
+`real_sign`.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ RationalLike = Union[int, Fraction]
 
 def _poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 out[i + j] += ai * bj
     return out
 
@@ -178,21 +182,14 @@ def _apply_int_rows(rows, ints, width) -> list:
     return acc
 
 
-def _apply_rows(rows, den, coeffs, width):
-    """sum(coeffs[j] * rows[j]) / den as a tuple of `width` Fractions."""
-    ints, d = _to_int_scaled(coeffs)
-    d *= den
-    return tuple(Fraction(a, d) if a else _ZERO for a in _apply_int_rows(rows, ints, width))
-
-
 def _int_product(a, b, n):
     """Product of two int coefficient vectors in Q(zeta_n), reduced mod Phi_n."""
     return _reduce_vec(_poly_mul_int(a, b), n)
 
 
-def _map_coeffs(coeffs, n, m, t=1):
-    """Image of conductor-n coefficients under zeta_n -> zeta_m^(t*m/n), at conductor m."""
-    return _apply_rows(_monomial_images(n, m, t), 1, coeffs, phi(m))
+def _map_ints(nums, n, m, t=1):
+    """Image of conductor-n int coefficients under zeta_n -> zeta_m^(t*m/n), at conductor m."""
+    return _apply_int_rows(_monomial_images(n, m, t), nums, phi(m))
 
 
 def _as_fraction(c):
@@ -203,6 +200,21 @@ def _as_fraction(c):
     return Fraction(c)
 
 
+def _from_ints(conductor, nums, den):
+    """The CycNum nums / den at `conductor`, reduced to lowest terms; den > 0
+    and nums holds phi(conductor) ints."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    x = object.__new__(CycNum)
+    object.__setattr__(x, "conductor", conductor)
+    object.__setattr__(x, "nums", tuple(nums))
+    object.__setattr__(x, "den", den)
+    object.__setattr__(x, "_min_key", None)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
@@ -210,29 +222,33 @@ def _as_fraction(c):
 class CycNum:
     """An element of Q(zeta_N) in reduced power-basis form.
 
-    Instances are immutable.  Operations on elements with different
-    conductors lift both to the least common multiple first, so mixed
-    arithmetic is always legal.  Equality and hashing are conductor
-    independent: two elements are equal iff they agree after lifting,
-    and the hash is taken over a minimal-conductor canonical form.
+    Instances are immutable.  The coordinates are `nums / den`: an int
+    tuple of length phi(N) over one positive int denominator, in lowest
+    terms, so equal elements of one conductor have equal (nums, den).
+    Operations on elements with different conductors lift both to the
+    least common multiple first, so mixed arithmetic is always legal.
+    Equality and hashing are conductor independent: two elements are
+    equal iff they agree after lifting, and the hash is taken over a
+    minimal-conductor canonical form.
     """
 
-    __slots__ = ("conductor", "coeffs", "_min_key")
+    __slots__ = ("conductor", "nums", "den", "_min_key")
 
-    def __init__(self, conductor: int, coeffs: Iterable):
-        d = phi(conductor)
+    def __new__(cls, conductor: int, coeffs: Iterable):
         cs = [_as_fraction(c) for c in coeffs]
-        if len(cs) == d:
-            cs = tuple(cs)
-        else:
+        if len(cs) != phi(conductor):
             # any polynomial in zeta is accepted; reduce to the power basis
-            cs = tuple(Fraction(c) for c in _reduce_vec(cs, conductor))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "_min_key", None)
+            cs = _reduce_vec(cs, conductor)
+        return _from_ints(conductor, *_to_int_scaled(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coordinates as `Fraction`s."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- constructors -------------------------------------------------------
 
@@ -242,11 +258,11 @@ class CycNum:
 
     @classmethod
     def zero(cls) -> "CycNum":
-        return cls(1, (_ZERO,))
+        return _from_ints(1, (0,), 1)
 
     @classmethod
     def one(cls) -> "CycNum":
-        return cls(1, (_ONE,))
+        return _from_ints(1, (1,), 1)
 
     # -- coercion -----------------------------------------------------------
 
@@ -255,22 +271,22 @@ class CycNum:
         if isinstance(x, CycNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return CycNum(1, (Fraction(x),))
+            return _from_ints(1, (x.numerator,), x.denominator)
         return None
 
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
         """True iff every coefficient beyond the constant term vanishes."""
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRational(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -284,7 +300,7 @@ class CycNum:
             return self
         if m < 1 or m % n != 0:
             raise ValueError(f"incompatible conductor: {n} does not divide {m}")
-        return CycNum(m, _map_coeffs(self.coeffs, n, m))
+        return _from_ints(m, _map_ints(self.nums, n, m), self.den)
 
     def _common(self, other):
         n, m = self.conductor, other.conductor
@@ -300,19 +316,19 @@ class CycNum:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        return CycNum(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        ad, bd = a.den, b.den
+        return _from_ints(a.conductor, [x * bd + y * ad for x, y in zip(a.nums, b.nums)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, tuple(-x for x in self.coeffs))
+        return _from_ints(self.conductor, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._common(o)
-        return CycNum(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -324,19 +340,8 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.conductor == 1:
-            q = o.coeffs[0]
-            return CycNum(self.conductor, tuple(c * q for c in self.coeffs))
-        if self.conductor == 1:
-            q = self.coeffs[0]
-            return CycNum(o.conductor, tuple(c * q for c in o.coeffs))
         a, b = self._common(o)
-        # integer convolution with the denominators pulled out front
-        av, ad = _to_int_scaled(a.coeffs)
-        bv, bd = _to_int_scaled(b.coeffs)
-        den = ad * bd
-        prod = _int_product(av, bv, a.conductor)
-        return CycNum(a.conductor, tuple(Fraction(c, den) for c in prod))
+        return _from_ints(a.conductor, _int_product(a.nums, b.nums, a.conductor), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -349,7 +354,8 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return CycNum(1, (1 / self.coeffs[0],)).lift(self.conductor)
+            q = self.nums[0]
+            return _from_ints(1, (self.den if q > 0 else -self.den,), abs(q)).lift(self.conductor)
         n = self.conductor
         rest = CycNum.one().lift(n)
         for t in range(2, n):
@@ -361,11 +367,6 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.conductor == 1:
-            q = o.coeffs[0]
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return CycNum(self.conductor, tuple(c / q for c in self.coeffs))
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -400,7 +401,7 @@ class CycNum:
             raise ValueError(f"galois exponent {t} not coprime to {n}")
         if t == 1:
             return self
-        return CycNum(n, _map_coeffs(self.coeffs, n, n, t))
+        return _from_ints(n, _map_ints(self.nums, n, n, t), self.den)
 
     def conj(self) -> "CycNum":
         """Complex conjugate, i.e. the Galois map zeta -> zeta^(-1)."""
@@ -412,10 +413,8 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.conductor == o.conductor:
-            return self.coeffs == o.coeffs
         a, b = self._common(o)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
         return hash(self._minimal_key())
@@ -423,7 +422,7 @@ class CycNum:
     def _minimal_key(self):
         key = self._min_key
         if key is None:
-            key = _descend_to_minimal(self.conductor, self.coeffs)
+            key = _descend_to_minimal(self.conductor, self.nums, self.den)
             object.__setattr__(self, "_min_key", key)
         return key
 
@@ -496,20 +495,21 @@ def _descent_projection(n: int, m: int):
     return tuple(rows), den
 
 
-def _descend_to_minimal(n, coeffs):
-    """Canonical (conductor, coeffs) pair with the smallest possible conductor."""
+def _descend_to_minimal(n, nums, den):
+    """Canonical (conductor, nums, den) key with the smallest possible conductor."""
     for p in _prime_factors(n):
         m = n // p
         # the element lies in Q(zeta_m) iff it is fixed by every
         # automorphism zeta -> zeta^t with t = 1 mod m
         if all(
-            _map_coeffs(coeffs, n, n, t) == coeffs
+            _map_ints(nums, n, n, t) == list(nums)
             for t in range(1 + m, n, m)
             if math.gcd(t, n) == 1
         ):
-            rows, den = _descent_projection(n, m)
-            return _descend_to_minimal(m, _apply_rows(rows, den, coeffs, phi(m)))
-    return n, coeffs
+            rows, pden = _descent_projection(n, m)
+            x = _from_ints(m, _apply_int_rows(rows, nums, phi(m)), den * pden)
+            return _descend_to_minimal(m, x.nums, x.den)
+    return n, nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +527,12 @@ def change_conductor(x: CycNum, conductor: int) -> CycNum:
         raise ValueError("conductor must be a positive integer")
     if conductor % x.conductor == 0:
         return x.lift(conductor)
-    n0, coeffs = x._minimal_key()
+    n0, nums, den = x._minimal_key()
     if conductor % n0 != 0:
         raise ValueError(
             f"incompatible conductor: element needs {n0}, which does not divide {conductor}"
         )
-    return CycNum(n0, coeffs).lift(conductor)
+    return _from_ints(n0, nums, den).lift(conductor)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -543,13 +543,13 @@ def root_of_unity(e: int, n: int) -> CycNum:
     e %= n
     vec = [0] * (e + 1)
     vec[e] = 1
-    return CycNum(n, _reduce_vec(vec, n))
+    return _from_ints(n, _reduce_vec(vec, n), 1)
 
 
 @lru_cache(maxsize=None)
 def unit_roots(m: int) -> tuple:
     """All m-th roots of unity zeta_m^0 .. zeta_m^(m-1), in exponent order."""
-    return tuple(CycNum(m, row) for row in _power_table(m))
+    return tuple(_from_ints(m, row, 1) for row in _power_table(m))
 
 
 @lru_cache(maxsize=None)
@@ -618,9 +618,7 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     if w.is_zero():
         raise ValueError("zero input has no direction")
     n, m = w.conductor, math.lcm(2, w.conductor)
-    ints, den = _to_int_scaled(w.coeffs)
-    if m != n:
-        ints = _apply_int_rows(_monomial_images(n, m, 1), ints, phi(m))
+    ints = w.nums if m == n else _map_ints(w.nums, n, m)
     g = math.gcd(*ints)
     if next(filter(None, ints)) < 0:
         g = -g
@@ -629,21 +627,21 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
         return None
     if g < 0:
         e = (e + m // 2) % m
-    return RationalAngleForm(Fraction(abs(g), den), e, m)
+    return RationalAngleForm(Fraction(abs(g), w.den), e, m)
 
 
 def _root_turn(r) -> Optional[Fraction]:
     """e/M when r = zeta_M^e, as a fraction of a full turn; None when r is
     not a root of unity (zero included)."""
-    return _turn(r.conductor, r.coeffs)
+    return _turn(r.conductor, r.nums, r.den)
 
 
 @lru_cache(maxsize=1 << 12)
-def _turn(conductor, coeffs):
-    """`_root_turn` of the element CycNum(conductor, coeffs), memoised."""
-    if not any(coeffs):
+def _turn(conductor, nums, den):
+    """`_root_turn` of the element nums / den at `conductor`, memoised."""
+    if not any(nums):
         return None
-    form = classify_rational_angle(CycNum(conductor, coeffs))
+    form = classify_rational_angle(_from_ints(conductor, nums, den))
     if form is None or form.length != 1:
         return None
     return Fraction(form.exponent, form.modulus)
@@ -681,7 +679,7 @@ def real_sign(x: CycNum) -> int:
     if x.is_zero():
         return 0
     if x.is_rational():
-        return 1 if x.coeffs[0] > 0 else -1
+        return 1 if x.nums[0] > 0 else -1
     if x != x.conj():
         raise ValueError("real_sign needs a conjugation-fixed value")
     n = x.conductor

@@ -95,8 +95,10 @@ class DistanceGraph:
         most n - 1 edges, and every tested sum has at most n terms.
         """
         if self._evec is None:
-            pts = self.pointset.points
-            packed = pack_vectors(((pts[j] - pts[i]).coeffs for i, j in self.edges), self.n)
+            vecs = geometry.common_scale(self.pointset.points)
+            packed = pack_vectors(
+                ([y - x for x, y in zip(vecs[i], vecs[j])] for i, j in self.edges), self.n
+            )
             self._evec = {}
             for (i, j), p in zip(self.edges, packed):
                 self._evec[i, j] = p

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import (
-    CycNum,
-    _apply_int_rows,
-    _int_product,
-    _monomial_images,
-    _to_int_scaled,
-    phi,
-)
+from .cyclotomic import CycNum, _apply_int_rows, _int_product, _map_ints, _monomial_images, phi
 
 
 def lift_all(points):
@@ -54,6 +47,12 @@ def pair_vec(x, y, n: int) -> tuple:
     return tuple(a - b for a, b in zip(w, _apply_int_rows(conj, w, width)))
 
 
+def common_scale(points):
+    """The points' int coefficient vectors over their common denominator."""
+    den = math.lcm(*(p.den for p in points))
+    return [[x * (den // p.den) for x in p.nums] for p in points]
+
+
 def cross_matrix(points):
     """S(x_i, x_j) for all pairs, as int tuples.
 
@@ -63,10 +62,8 @@ def cross_matrix(points):
     """
     n = len(points)
     conductor = points[0].conductor if n else 1
-    width = phi(conductor)
-    ints, _ = _to_int_scaled([c for p in points for c in p.coeffs])
-    vecs = [ints[s : s + width] for s in range(0, len(ints), width)]
-    zero = (0,) * width
+    vecs = common_scale(points)
+    zero = (0,) * phi(conductor)
     mat = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -80,9 +77,7 @@ def lift_vectors(vecs, old_conductor, new_conductor):
     """Re-express int coefficient vectors in a larger conductor."""
     if new_conductor == old_conductor:
         return vecs
-    rows = _monomial_images(old_conductor, new_conductor, 1)
-    width = phi(new_conductor)
-    return [tuple(_apply_int_rows(rows, v, width)) for v in vecs]
+    return [tuple(_map_ints(v, old_conductor, new_conductor)) for v in vecs]
 
 
 def lift_matrix(mat, old_conductor, new_conductor):

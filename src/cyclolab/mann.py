@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
-    CycNum, _as_fraction, _map_coeffs, _power_table, _root_turn, _to_int_scaled, phi,
+    CycNum, _as_fraction, _map_ints, _power_table, _root_turn, _to_int_scaled, phi,
     root_of_unity,
 )
 from .errors import CapExceeded, WorkBudgetExceeded
@@ -211,9 +210,9 @@ class RelationTuple:
         if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
         rows, conductor, den = _term_rows(roots, coeffs, target.conductor)
-        lifted, tden = _lifted_target(target.conductor, target.coeffs, conductor)
+        lifted, tden = _map_ints(target.nums, target.conductor, conductor), target.den
         # the rows sum to den * (weighted sum), the target is lifted / tden
-        if tuple(tden * x for x in map(sum, zip(*rows))) != tuple(den * x for x in lifted):
+        if [tden * x for x in map(sum, zip(*rows))] != [den * x for x in lifted]:
             raise ValueError("weighted sum does not equal the target")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "coeffs", coeffs)
@@ -254,14 +253,6 @@ def _term_rows(roots, coeffs, conductor=1):
     table, (scaled, den) = _power_table(n), _to_int_scaled(coeffs)
     index = [t.numerator * n // t.denominator for t in turns]
     return [tuple(s * x for x in table[i]) for i, s in zip(index, scaled)], n, den
-
-
-@lru_cache(maxsize=1 << 8)
-def _lifted_target(n, coeffs, conductor):
-    """Conductor-n coefficients lifted to `conductor`, as (int tuple, common
-    denominator); relations of one target share it."""
-    ints, den = _to_int_scaled(_map_coeffs(coeffs, n, conductor))
-    return tuple(ints), den
 
 
 def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
@@ -462,12 +453,14 @@ def _target_relations(targets, k: int, m: int, cs) -> list:
     conductor = math.lcm(m, *(a.conductor for a in targets))
     terms = [(e, c) for e in range(m) for c in cs]
     scaled, den = _to_int_scaled(cs)
+    tden = math.lcm(*(a.den for a in targets))
     rows = _power_table(conductor)[:: conductor // m]  # row e is zeta_m^e
     # the closing test combines a target, k - 1 prefix terms and
-    # c*zeta^e, all scaled by den
+    # c*zeta^e, all scaled by den * tden
     packs = pack_vectors(
-        [[den * x for x in _map_coeffs(a.coeffs, a.conductor, conductor)] for a in targets]
-        + [[s * x for x in row] for row in rows for s in scaled],
+        [[den * tden // a.den * x for x in _map_ints(a.nums, a.conductor, conductor)]
+         for a in targets]
+        + [[tden * s * x for x in row] for row in rows for s in scaled],
         k + 1,
     )
     apacks, tpacks = packs[: len(targets)], packs[len(targets) :]

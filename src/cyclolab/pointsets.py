@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from . import geometry
-from .cyclotomic import CycNum, _to_int_scaled, change_conductor, root_of_unity
+from .cyclotomic import CycNum, _from_ints, change_conductor, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
 
 DOUBLING_CAP = 8
@@ -44,9 +44,10 @@ class PointSet:
             raise ValueError("every point must carry the declared conductor")
         seen = set()
         for p in pts:
-            if p.coeffs in seen:
+            key = (p.nums, p.den)
+            if key in seen:
                 raise ValueError(f"points are not distinct: {p!r} repeats")
-            seen.add(p.coeffs)
+            seen.add(key)
         if "name" not in self.provenance:
             raise ValueError("provenance must name the construction")
         object.__setattr__(self, "points", pts)
@@ -122,14 +123,12 @@ def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
             # a root outside Q(zeta_conductor) is no difference of points
             if (
                 conductor % a.min_conductor() == 0
-                and change_conductor(a, conductor).coeffs in diffs
+                and change_conductor(a, conductor).nums in diffs
             ):
                 continue
             big = math.lcm(conductor, a.conductor)
             lifted = geometry.lift_vectors(vecs, conductor, big)
-            a_big, scale = _to_int_scaled(a.lift(big).coeffs)
-            if scale != 1:
-                raise AssertionError("root of unity with non-integer coordinates")
+            a_big = a.lift(big).nums  # a root of unity has denominator 1
             base = geometry.lift_matrix(mat, conductor, big)
             shifts = [geometry.pair_vec(p, a_big, big) for p in lifted]
             union_mat = geometry.translated_union_matrix(base, shifts)
@@ -141,7 +140,8 @@ def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
         else:  # pragma: no cover - the candidate stream is infinite
             raise AssertionError("no usable root of unity found")
 
-    return make_pointset([CycNum(conductor, v) for v in vecs], "erdos_purdy", {"levels": levels})
+    points = [_from_ints(conductor, v, 1) for v in vecs]
+    return make_pointset(points, "erdos_purdy", {"levels": levels})
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +157,17 @@ def square_grid(rows: int, cols: int, spacing=1, point_budget: int = POINT_BUDGE
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be at least 1")
     if rows * cols > point_budget:
-        raise WorkBudgetExceeded(rows * cols, point_budget)
+        raise WorkBudgetExceeded(
+            rows * cols, point_budget,
+            f"a grid of {rows * cols} points exceeds the {point_budget}-point limit",
+        )
     if isinstance(spacing, float):
         raise TypeError("spacing must be an exact rational, not a float")
     s = Fraction(spacing)
     if s <= 0:
         raise ValueError("spacing must be positive")
-    pts = []
-    for r in range(rows):
-        for c in range(cols):
-            pts.append(CycNum(4, (c * s, r * s)))
+    p, q = s.numerator, s.denominator
+    pts = [_from_ints(4, (c * p, r * p), q) for r in range(rows) for c in range(cols)]
     return PointSet(
         conductor=4,
         points=tuple(pts),
@@ -197,7 +198,10 @@ def parallel_lines(
     if lines < 1 or per_line < 1:
         raise ValueError("lines and per_line must be at least 1")
     if lines * per_line > point_budget:
-        raise WorkBudgetExceeded(lines * per_line, point_budget)
+        raise WorkBudgetExceeded(
+            lines * per_line, point_budget,
+            f"{lines * per_line} points on parallel lines exceed the {point_budget}-point limit",
+        )
     if not isinstance(seed, int):
         raise ValueError("seed must be an integer")
     skip = seed % 997
@@ -205,7 +209,6 @@ def parallel_lines(
     placed = []  # (line, x)
     pts = []
     for line in range(lines):
-        yline = Fraction(line)
         # lines fill in order, so the points of other lines are all placed
         # already and the x values they block on this line are fixed
         blocked = {
@@ -224,7 +227,7 @@ def parallel_lines(
                 continue
             taken_x.add(x)
             placed.append((line, x))
-            pts.append(CycNum(4, (x, yline)))
+            pts.append(_from_ints(4, (x.numerator, line * x.denominator), x.denominator))
 
     return PointSet(
         conductor=4,

@@ -198,30 +198,9 @@ def obj_to_relations(d) -> list:
 # ---------------------------------------------------------------------------
 
 def report_to_obj(r: AnalysisReport) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "analysis_report",
-        "provenance_name": r.provenance_name,
-        "seed": r.seed,
-        "n": r.n,
-        "mode": r.mode,
-        "k": r.k,
-        "conductor": r.conductor,
-        "edge_count": r.edge_count,
-        "excess_exponent": r.excess_exponent,
-        "max_collinear": r.max_collinear,
-        "peel_threshold": fraction_to_str(r.peel_threshold),
-        "peeled_n": r.peeled_n,
-        "peeled_edge_count": r.peeled_edge_count,
-        "peeled_min_degree": r.peeled_min_degree,
-        "path_pair_max": r.path_pair_max,
-        "path_pair_min": r.path_pair_min,
-        "path_source_min": r.path_source_min,
-        "two_path_noncollinear_max": r.two_path_noncollinear_max,
-        "bounds": dict(r.bounds),
-        "ceilings": {k: dict(v) for k, v in r.ceilings.items()},
-        "all_ceilings_hold": r.all_ceilings_hold,
-    }
+    obj = {"format_version": FORMAT_VERSION, "kind": "analysis_report", **dataclasses.asdict(r)}
+    obj["peel_threshold"] = fraction_to_str(r.peel_threshold)
+    return obj
 
 
 _REPORT_KEYS = tuple(f.name for f in dataclasses.fields(AnalysisReport))
@@ -274,32 +253,20 @@ def obj_to_report(d) -> AnalysisReport:
 _CSV_CEILINGS = ("relation_count", "two_path", "peeling", "continuation")
 _BOUND_KEYS = ("relation_count", "two_path", "continuation", "continuation_discounted")
 
-REPORT_CSV_HEADER = [
-    "format_version",
-    "provenance_name",
-    "seed",
-    "n",
-    "mode",
-    "k",
-    "conductor",
-    "edge_count",
-    "excess_exponent",
-    "max_collinear",
-    "peel_threshold",
-    "peeled_n",
-    "peeled_edge_count",
-    "peeled_min_degree",
-    "path_pair_max",
-    "path_pair_min",
-    "path_source_min",
-    "two_path_noncollinear_max",
-    "bound_relation_count",
-    "bound_two_path",
-    "bound_continuation",
-    "bound_continuation_discounted",
-] + [
-    f"ceiling_{name}_{part}" for name in _CSV_CEILINGS for part in ("applicable", "holds")
-] + ["all_ceilings_hold"]
+
+def _csv_columns(key):
+    """CSV columns of one report field, as (header, keys into the field) pairs."""
+    if key == "bounds":
+        return [(f"bound_{name}", (name,)) for name in _BOUND_KEYS]
+    if key == "ceilings":
+        parts = ("applicable", "holds")
+        return [(f"ceiling_{name}_{p}", (name, p)) for name in _CSV_CEILINGS for p in parts]
+    return [(key, ())]
+
+
+_CSV_COLUMNS = [(key, head, path) for key in _REPORT_KEYS for head, path in _csv_columns(key)]
+
+REPORT_CSV_HEADER = ["format_version"] + [head for _, head, _ in _CSV_COLUMNS]
 
 
 def _cell(value) -> str:
@@ -317,35 +284,12 @@ def _cell(value) -> str:
 
 
 def report_csv_row(r: AnalysisReport) -> list:
-    row = [
-        _cell(FORMAT_VERSION),
-        _cell(r.provenance_name),
-        _cell(r.seed),
-        _cell(r.n),
-        _cell(r.mode),
-        _cell(r.k),
-        _cell(r.conductor),
-        _cell(r.edge_count),
-        _cell(r.excess_exponent),
-        _cell(r.max_collinear),
-        _cell(r.peel_threshold),
-        _cell(r.peeled_n),
-        _cell(r.peeled_edge_count),
-        _cell(r.peeled_min_degree),
-        _cell(r.path_pair_max),
-        _cell(r.path_pair_min),
-        _cell(r.path_source_min),
-        _cell(r.two_path_noncollinear_max),
-        _cell(r.bounds["relation_count"]),
-        _cell(r.bounds["two_path"]),
-        _cell(r.bounds["continuation"]),
-        _cell(r.bounds["continuation_discounted"]),
-    ]
-    for name in _CSV_CEILINGS:
-        entry = r.ceilings[name]
-        row.append(_cell(entry["applicable"]))
-        row.append(_cell(entry["holds"]))
-    row.append(_cell(r.all_ceilings_hold))
+    row = [_cell(FORMAT_VERSION)]
+    for key, _, path in _CSV_COLUMNS:
+        value = getattr(r, key)
+        for part in path:
+            value = value[part]
+        row.append(_cell(value))
     return row
 
 

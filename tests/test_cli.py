@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cyclolab import cyclotomic, distgraph, erdos_purdy, geometry, mann, serialize
+from cyclolab import cyclotomic, distgraph, erdos_purdy, geometry, mann, pointsets, serialize
 from cyclolab.cli import main
 from cyclolab.errors import WorkBudgetExceeded
 
@@ -41,6 +41,68 @@ def test_gen_erdos_purdy_file_bytes(tmp_path, levels, digest):
     out = tmp_path / "ep.json"
     assert run(["gen", "erdos-purdy", "--levels", levels, "--out", out]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_analyze_report_file_bytes(tmp_path):
+    ep, rep, csv = tmp_path / "ep.json", tmp_path / "rep.json", tmp_path / "rep.csv"
+    assert run(["gen", "erdos-purdy", "--levels", 5, "--out", ep]) == 0
+    assert run(["analyze", "--in", ep, "--mode", "unit", "--k", 2, "--out", rep, "--csv", csv]) == 0
+    assert _sha256(rep) == "2a3b200b58fe947160d8b7ccdf4d2775224049d935278900e1e9acd62aae184b"
+    assert _sha256(csv) == "21d1642a4bf5ad7c11ddcb49e44f9f58459d33adcc9e85cd9f3429d799c489c1"
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--k", 5, "--modulus", 15], "c61b19a45f785290c13b1782f6df3e9ecde85429d5c471e1cbcb67d960d0cff3"),
+        (
+            ["--k", 3, "--modulus", 12, "--coeffs", "1,-1"],
+            "0a99585d0eafeab65a88971ee3d2c8147865135c326d10d0a9f58e0cdb8836d4",
+        ),
+    ],
+    ids=["k5-m15", "k3-m12-signed"],
+)
+def test_mann_file_bytes(tmp_path, args, digest):
+    out = tmp_path / "rel.json"
+    assert run(["mann", *args, "--out", out]) == 0
+    assert _sha256(out) == digest
+
+
+def test_fractional_grid_and_paths_file_bytes(tmp_path):
+    # non-integer coordinates pin the Fraction boundary of the file formats
+    grid, paths = tmp_path / "grid.json", tmp_path / "paths.json"
+    assert run(["gen", "grid", "--rows", 5, "--cols", 5, "--spacing", "3/4", "--out", grid]) == 0
+    assert _sha256(grid) == "961193d0f58c77a5b882f83585b5a1b987c506610fab782109916cb29a126c9e"
+    assert run(["paths", "--in", grid, "--mode", "rational", "--k", 3, "--out", paths]) == 0
+    assert _sha256(paths) == "e32e41efed146c60e6f446a5fefd2fbb10cef4690611e91f8ecd707fea05c47e"
+
+
+@pytest.mark.parametrize(
+    "args, build, message",
+    [
+        (
+            ["grid", "--rows", 100, "--cols", 100],
+            pointsets.square_grid,
+            "a grid of 10000 points exceeds the 5000-point limit",
+        ),
+        (
+            ["lines", "--lines", 100, "--per-line", 100],
+            pointsets.parallel_lines,
+            "10000 points on parallel lines exceed the 5000-point limit",
+        ),
+    ],
+    ids=["grid", "lines"],
+)
+def test_gen_point_limit_error_gives_no_budget_advice(capsys, args, build, message):
+    # gen takes no budget, so its refusal names the fixed point limit instead
+    assert run(["gen", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(WorkBudgetExceeded):
+        build(100, 100)
 
 
 def test_gen_grid_default_filename(tmp_path, monkeypatch):
