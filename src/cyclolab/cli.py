@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import distgraph, mann, pointsets, serialize
 
@@ -23,31 +21,11 @@ EXIT_CEILING = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, parsed from the command line."""
-
-    command: str
-    construction: Optional[str] = None
-    levels: int = 3
-    rows: int = 3
-    cols: int = 3
-    spacing: Fraction = Fraction(1)
-    lines: int = 3
-    per_line: int = 3
-    seed: int = 0
-    mode: str = "rational"
-    k: int = 2
-    modulus: int = 12
-    coeffs: tuple = (Fraction(1),)
-    shortest: bool = False
-    scope: str = "all"
-    cap: int = distgraph.PATH_CAP
-    budget: int = mann.WORK_BUDGET
-    target_scan: bool = False
-    input_path: Optional[str] = None
-    out_path: Optional[str] = None
-    csv_path: Optional[str] = None
+def _parse_spacing(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad spacing {text!r}: {exc}")
 
 
 def _parse_coeffs(text: str) -> tuple:
@@ -122,60 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "construction",
-        "levels",
-        "rows",
-        "cols",
-        "lines",
-        "seed",
-        "mode",
-        "k",
-        "modulus",
-        "shortest",
-        "scope",
-        "cap",
-        "budget",
-        "target_scan",
-        "input_path",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "per_line"):
-        cfg.per_line = args.per_line
-    if hasattr(args, "spacing"):
-        try:
-            cfg.spacing = Fraction(args.spacing)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad spacing {args.spacing!r}: {exc}")
-    if hasattr(args, "coeffs"):
-        cfg.coeffs = _parse_coeffs(args.coeffs)
-    if hasattr(args, "out"):
-        cfg.out_path = args.out
-    if hasattr(args, "csv"):
-        cfg.csv_path = args.csv
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.construction == "erdos-purdy":
-        ps = pointsets.erdos_purdy(cfg.levels)
-        default_out = f"erdos_purdy_L{cfg.levels}.json"
-    elif cfg.construction == "grid":
-        ps = pointsets.square_grid(cfg.rows, cfg.cols, cfg.spacing)
-        default_out = f"grid_{cfg.rows}x{cfg.cols}.json"
-    elif cfg.construction == "lines":
-        ps = pointsets.parallel_lines(cfg.lines, cfg.per_line, cfg.seed)
-        default_out = f"lines_{cfg.lines}x{cfg.per_line}_s{cfg.seed}.json"
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.construction == "erdos-purdy":
+        ps = pointsets.erdos_purdy(args.levels)
+        default_out = f"erdos_purdy_L{args.levels}.json"
+    elif args.construction == "grid":
+        ps = pointsets.square_grid(args.rows, args.cols, _parse_spacing(args.spacing))
+        default_out = f"grid_{args.rows}x{args.cols}.json"
+    elif args.construction == "lines":
+        ps = pointsets.parallel_lines(args.lines, args.per_line, args.seed)
+        default_out = f"lines_{args.lines}x{args.per_line}_s{args.seed}.json"
     else:
-        raise ValueError(f"unknown construction {cfg.construction!r}")
-    out = cfg.out_path or default_out
+        raise ValueError(f"unknown construction {args.construction!r}")
+    out = args.out or default_out
     serialize.save_pointset(out, ps)
     print(
         f"pointset {ps.provenance['name']}: n={len(ps)} conductor={ps.conductor} "
@@ -184,13 +125,13 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    ps = serialize.load_pointset(cfg.input_path)
-    report = distgraph.analyze(ps, cfg.mode, cfg.k, cap=cfg.cap)
-    if cfg.out_path:
-        serialize.save_report(cfg.out_path, report)
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8") as fh:
+def cmd_analyze(args: argparse.Namespace) -> int:
+    ps = serialize.load_pointset(args.input_path)
+    report = distgraph.analyze(ps, args.mode, args.k, cap=args.cap)
+    if args.out:
+        serialize.save_report(args.out, report)
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(serialize.report_csv_text([report]))
     excess = "none" if report.excess_exponent is None else f"{report.excess_exponent:.4f}"
     print(
@@ -214,11 +155,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK if report.all_ceilings_hold else EXIT_CEILING
 
 
-def cmd_mann(cfg: RunConfig) -> int:
-    if cfg.target_scan:
-        mann.charge_target_scan(cfg.k, cfg.modulus, cfg.coeffs, cfg.budget)
+def cmd_mann(args: argparse.Namespace) -> int:
+    coeffs = _parse_coeffs(args.coeffs)
+    if args.target_scan:
+        mann.charge_target_scan(args.k, args.modulus, coeffs, args.budget)
     relations = mann.enumerate_minimal_vanishing_sums(
-        cfg.k, cfg.modulus, cfg.coeffs, budget=cfg.budget
+        args.k, args.modulus, coeffs, budget=args.budget
     )
     bad = []
     for t in relations:
@@ -226,21 +168,21 @@ def cmd_mann(cfg: RunConfig) -> int:
         if not cert.verdict:
             bad.append((t, cert))
     print(
-        f"k={cfg.k} modulus={cfg.modulus} coeffs={','.join(str(c) for c in cfg.coeffs)}: "
+        f"k={args.k} modulus={args.modulus} coeffs={','.join(str(c) for c in coeffs)}: "
         f"{len(relations)} minimal vanishing sums, "
-        f"{len(relations) - len(bad)} certified at ratio order {mann.mann_modulus(cfg.k)}"
+        f"{len(relations) - len(bad)} certified at ratio order {mann.mann_modulus(args.k)}"
     )
     for t, cert in bad:
         print(f"  FAILED certification: witness pair {cert.witness}")
-    if cfg.out_path:
-        serialize.save_relations(cfg.out_path, relations)
-        print(f"relations -> {cfg.out_path}")
+    if args.out:
+        serialize.save_relations(args.out, relations)
+        print(f"relations -> {args.out}")
     ok = not bad
-    if cfg.target_scan:
+    if args.target_scan:
         worst, worst_target, total = mann.two_term_target_scan(
-            cfg.k, cfg.modulus, cfg.coeffs, cfg.budget
+            args.k, args.modulus, coeffs, args.budget
         )
-        bound = mann.relation_count_bound(cfg.k)
+        bound = mann.relation_count_bound(args.k)
         print(
             f"target scan: {total} two-term targets, census max {worst} "
             f"(bound {bound}) at target {worst_target}"
@@ -250,25 +192,25 @@ def cmd_mann(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CEILING
 
 
-def cmd_paths(cfg: RunConfig) -> int:
-    ps = serialize.load_pointset(cfg.input_path)
-    g = distgraph.build_graph(ps, cfg.mode)
+def cmd_paths(args: argparse.Namespace) -> int:
+    ps = serialize.load_pointset(args.input_path)
+    g = distgraph.build_graph(ps, args.mode)
     pair_max, pair_min, source_totals = distgraph.path_stats(
-        g, cfg.k, shortest_only=cfg.shortest, vertex_scope=cfg.scope, cap=cfg.cap
+        g, args.k, shortest_only=args.shortest, vertex_scope=args.scope, cap=args.cap
     )
     source_min = min(source_totals)
     max_col, _ = distgraph.max_points_on_line(ps)
     delta = g.min_degree()
-    bound = mann.relation_count_bound(cfg.k)
-    floor = distgraph.paths_lower_bound(delta, cfg.k)
-    rel_applicable = cfg.mode == "unit" or max_col <= 2
+    bound = mann.relation_count_bound(args.k)
+    floor = distgraph.paths_lower_bound(delta, args.k)
+    rel_applicable = args.mode == "unit" or max_col <= 2
     rel_holds = pair_max <= bound if rel_applicable else None
     # the continuation floor is pure subset-sum counting, so it always applies,
     # but only to plain irredundant enumeration (shortness prunes further)
-    cont_applicable = not cfg.shortest
+    cont_applicable = not args.shortest
     cont_holds = source_min >= floor if cont_applicable else None
     print(
-        f"n={g.n} mode={cfg.mode} k={cfg.k} shortest={cfg.shortest} scope={cfg.scope} "
+        f"n={g.n} mode={args.mode} k={args.k} shortest={args.shortest} scope={args.scope} "
         f"min_degree={delta} max_collinear={max_col}"
     )
     print(
@@ -283,17 +225,17 @@ def cmd_paths(cfg: RunConfig) -> int:
         print(f"floor continuation: {'holds' if cont_holds else 'FAILED'}")
     else:
         print("floor continuation: not applicable (shortest-only pruning)")
-    if cfg.out_path:
+    if args.out:
         serialize.save_json(
-            cfg.out_path,
+            args.out,
             {
                 "format_version": serialize.FORMAT_VERSION,
                 "kind": "path_stats",
                 "n": g.n,
-                "mode": cfg.mode,
-                "k": cfg.k,
-                "shortest": cfg.shortest,
-                "scope": cfg.scope,
+                "mode": args.mode,
+                "k": args.k,
+                "shortest": args.shortest,
+                "scope": args.scope,
                 "min_degree": delta,
                 "max_collinear": max_col,
                 "source_totals": source_totals,
@@ -302,18 +244,18 @@ def cmd_paths(cfg: RunConfig) -> int:
                 "bounds": {"relation_count": bound, "continuation": floor},
             },
         )
-        print(f"path stats -> {cfg.out_path}")
+        print(f"path stats -> {args.out}")
     failed = (rel_applicable and not rel_holds) or (cont_applicable and not cont_holds)
     return EXIT_CEILING if failed else EXIT_OK
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    report = serialize.load_report(cfg.input_path)
+def cmd_report(args: argparse.Namespace) -> int:
+    report = serialize.load_report(args.input_path)
     text = serialize.report_csv_text([report])
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8") as fh:
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"csv -> {cfg.csv_path}")
+        print(f"csv -> {args.csv}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -332,8 +274,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,37 +6,25 @@ the antisymmetric pairing S(x, y) = x * conj(y) - conj(x) * y:
 
     collinear(p, q, r)  <=>  S(q, r) - S(q, p) - S(p, r) = 0.
 
-Precomputing S over all pairs turns each triple test into a few tuple
-subtractions, and S updates cheaply under translation doubling.  The
-pairing tables hold int tuples: coordinates are scaled by one common
-denominator d first, and S(dx, dy) = d^2 S(x, y) keeps every zero test.
+`cross_matrix` holds S over all pairs as int tuples: coordinates are
+scaled by one common denominator d first, and S(dx, dy) = d^2 S(x, y)
+keeps every zero test.
+
+A cheaper filter evaluates points in a residue field: with p a prime
+that is 1 mod N and omega of order N mod p, zeta_N -> omega is a ring
+map from Z[zeta_N] to Z/p, so a nonzero residue of S proves a triple is
+not collinear.  A zero residue decides nothing; callers confirm it with
+the exact `pair_vec`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .cyclotomic import CycNum, _apply_int_rows, _int_product, _map_ints, _monomial_images, phi
-
-
-def lift_all(points):
-    """Common-conductor copies of the given points: (conductor, list)."""
-    conductor = 1
-    for p in points:
-        conductor = math.lcm(conductor, p.conductor)
-    return conductor, [p.lift(conductor) for p in points]
-
-
-def cross_value(p: CycNum, q: CycNum, r: CycNum) -> CycNum:
-    """The pairing whose vanishing means p, q, r are collinear."""
-    u = q - p
-    v = r - p
-    w = u * v.conj()
-    return w - w.conj()
-
-
-def collinear(p: CycNum, q: CycNum, r: CycNum) -> bool:
-    return cross_value(p, q, r).is_zero()
+from .cyclotomic import (
+    CycNum, _apply_int_rows, _int_product, _monomial_images, _prime_factors, cyclotomic_polynomial, phi,
+)
 
 
 def pair_vec(x, y, n: int) -> tuple:
@@ -73,65 +61,56 @@ def cross_matrix(points):
     return mat
 
 
-def lift_vectors(vecs, old_conductor, new_conductor):
-    """Re-express int coefficient vectors in a larger conductor."""
-    if new_conductor == old_conductor:
-        return vecs
-    return [tuple(_map_ints(v, old_conductor, new_conductor)) for v in vecs]
-
-
-def lift_matrix(mat, old_conductor, new_conductor):
-    """Re-express every matrix entry in a larger conductor."""
-    return [lift_vectors(row, old_conductor, new_conductor) for row in mat]
-
-
-def translated_union_matrix(mat, shifts):
-    """Cross matrix of points + [p + a for p in points].
-
-    `mat` is the cross matrix of the original points and `shifts[i]` is
-    the pair vector S(x_i, a), all int tuples at one scale.  Translation
-    only shifts the pairing by those per-point terms, so no field
-    multiplications are needed.
-    """
-    n = len(mat)
-    out = [[None] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        si = shifts[i]
-        for j in range(n):
-            base = mat[i][j]
-            sj = shifts[j]
-            out[i][j] = base
-            out[i][n + j] = tuple(b + s for b, s in zip(base, si))
-            out[n + i][j] = tuple(b - s for b, s in zip(base, sj))
-            out[n + i][n + j] = tuple(b + x - y for b, x, y in zip(base, si, sj))
-    return out
-
-
-def first_collinear_triple(mat, min_newest: int = 0):
-    """First triple i < j < c with c >= min_newest that is collinear.
-
-    Passing min_newest skips triples known collinearity-free from an
-    earlier check of the prefix.
-    """
-    n = len(mat)
-    for c in range(max(min_newest, 2), n):
-        col_c = [row[c] for row in mat]
-        for i in range(c - 1):
-            sic = col_c[i]
-            row_i = mat[i]
-            for j in range(i + 1, c):
-                e = mat[j][c]
-                f = row_i[j]
-                for x, y, z in zip(e, f, sic):
-                    if x + y - z:
-                        break
-                else:
-                    return (i, j, c)
-    return None
-
-
 def squared_distance(p: CycNum, q: CycNum) -> CycNum:
     """|p - q|^2 as an exact real cyclotomic number."""
     w = p - q
     return w * w.conj()
 
+
+def _horner(coeffs, x: int, p: int) -> int:
+    """sum(coeffs[k] * x^k) mod p."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * x + c) % p
+    return v
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases up to 37: deterministic for 37 < n < 3.1e23."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def residue_field(n: int) -> tuple:
+    """(p, omega): the first prime p = 1 (mod n) above 2^61, and omega of
+    order exactly n mod p, so that zeta_n -> omega maps Z[zeta_n] onto Z/p."""
+    p = (2**61 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // n, p)
+        if all(pow(omega, n // q, p) != 1 for q in _prime_factors(n)):
+            break
+    assert _horner(cyclotomic_polynomial(n), omega, p) == 0, f"omega is no root of Phi_{n} mod {p}"
+    return p, omega
+
+
+def fingerprints(vecs, n: int, big: int):
+    """Residues [x(eta) for x in vecs] and [x(1/eta) for x in vecs] mod p of
+    int coefficient vectors at conductor n, where (p, omega) =
+    residue_field(big) and eta = omega^(big/n): the residues of each x and
+    conj(x) lifted to conductor big, without the lift."""
+    p, omega = residue_field(big)
+    eta = pow(omega, big // n, p)
+    return [[_horner(x, root, p) for x in vecs] for root in (eta, pow(eta, -1, p))]

@@ -5,7 +5,8 @@ keeps every pair in general position while doubling the number of unit,
 rational-angle pairs; an axis-aligned square grid; and clusters of
 points spread over horizontal lines with no three points collinear
 across distinct lines.  All constructions are reproducible from their
-parameters (and seed, where one applies).
+parameters (and seed, where one applies).  The doubling screens its
+translates by residue direction keys and confirms collinearity exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from . import geometry
-from .cyclotomic import CycNum, _from_ints, change_conductor, root_of_unity
+from .cyclotomic import CycNum, _from_ints, _map_ints, change_conductor, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
 
 DOUBLING_CAP = 8
@@ -72,10 +73,10 @@ def make_pointset(points, name: str, params: dict, seed: int = 0) -> PointSet:
         if c is None:
             raise ValueError(f"not a point: {p!r}")
         coerced.append(c)
-    conductor, lifted = geometry.lift_all(coerced)
+    conductor = math.lcm(*(c.conductor for c in coerced))
     return PointSet(
         conductor=conductor,
-        points=tuple(lifted),
+        points=tuple(c.lift(conductor) for c in coerced),
         provenance={"name": name, "params": dict(params)},
         seed=seed,
     )
@@ -97,6 +98,53 @@ def _root_candidates():
                 yield root_of_unity(e, m)
 
 
+def _translate_union(vecs, n, a, big, prints):
+    """The int vectors at conductor big of P + (P + a), or None if that union
+    has a collinear triple; P is `vecs` at conductor n, with no collinear
+    triple, and `prints` its `geometry.fingerprints` into conductor big.
+
+    Point k < m is x_k and point m + k is x_k + a.  Only triples at an
+    anchor x_i with a translate among the other two need a test.  From
+    x_i, later point j has the key (F_j - F_i) / (G_j - G_i) mod p, and
+    points with different keys are not collinear with x_i.  Equal keys,
+    and points with no key (G_j = G_i), are decided by exact `pair_vec`.
+    """
+    p = geometry.residue_field(big)[0]
+    m = len(vecs)
+    (fa,), (ga,) = geometry.fingerprints([a.nums], a.conductor, big)
+    F = prints[0] + [(f + fa) % p for f in prints[0]]
+    G = prints[1] + [(g + ga) % p for g in prints[1]]
+    lifted = {}
+
+    def point(k):
+        if k not in lifted:
+            x = _map_ints(vecs[k % m], n, big)
+            if k >= m:
+                x = [s + t for s, t in zip(x, _map_ints(a.nums, a.conductor, big))]
+            lifted[k] = x
+        return lifted[k]
+
+    def collinear(i, j, k):
+        xi = point(i)
+        u = [s - t for s, t in zip(point(j), xi)]
+        v = [s - t for s, t in zip(point(k), xi)]
+        return not any(geometry.pair_vec(u, v, big))
+
+    for i in range(m):
+        groups, keyless = {}, []
+        for j in range(i + 1, 2 * m):
+            dg = (G[j] - G[i]) % p
+            if dg:
+                group = groups.setdefault((F[j] - F[i]) * pow(dg, -1, p) % p, [])
+                rivals = itertools.chain(group, keyless)
+            else:
+                group, rivals = keyless, range(i + 1, j)
+            if j >= m and any(collinear(i, k, j) for k in rivals):
+                return None
+            group.append(j)
+    return [point(k) for k in range(2 * m)]
+
+
 def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
     """Translation doubling starting from {0, 1}.
 
@@ -114,28 +162,23 @@ def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
 
     conductor = 1
     vecs = [(0,), (1,)]
-    mat = geometry.cross_matrix([CycNum.zero(), CycNum.one()])
 
     for _ in range(levels - 1):
-        diffs = {tuple(x - y for x, y in zip(p, q)) for p in vecs for q in vecs if p != q}
-        n = len(vecs)
+        have = set(map(tuple, vecs))
+        prints = {}  # residues of vecs, one pair of lists per target conductor
         for a in _root_candidates():
-            # a root outside Q(zeta_conductor) is no difference of points
-            if (
-                conductor % a.min_conductor() == 0
-                and change_conductor(a, conductor).nums in diffs
-            ):
-                continue
+            # a = q - p for points p, q iff p + a is a point; a root
+            # outside Q(zeta_conductor) is no difference of points
+            if conductor % a.min_conductor() == 0:
+                a_nums = change_conductor(a, conductor).nums
+                if any(tuple(x + y for x, y in zip(p, a_nums)) in have for p in vecs):
+                    continue
             big = math.lcm(conductor, a.conductor)
-            lifted = geometry.lift_vectors(vecs, conductor, big)
-            a_big = a.lift(big).nums  # a root of unity has denominator 1
-            base = geometry.lift_matrix(mat, conductor, big)
-            shifts = [geometry.pair_vec(p, a_big, big) for p in lifted]
-            union_mat = geometry.translated_union_matrix(base, shifts)
-            if geometry.first_collinear_triple(union_mat, min_newest=n) is None:
-                vecs = lifted + [tuple(x + y for x, y in zip(p, a_big)) for p in lifted]
-                mat = union_mat
-                conductor = big
+            if big not in prints:
+                prints[big] = geometry.fingerprints(vecs, conductor, big)
+            union = _translate_union(vecs, conductor, a, big, prints[big])
+            if union is not None:
+                vecs, conductor = union, big
                 break
         else:  # pragma: no cover - the candidate stream is infinite
             raise AssertionError("no usable root of unity found")
@@ -177,11 +220,16 @@ def square_grid(rows: int, cols: int, spacing=1, point_budget: int = POINT_BUDGE
 
 
 def _rational_stream():
-    """Lowest-terms rationals in [0, 1), ordered by denominator then numerator."""
+    """Lowest-terms rationals n/d in [0, 1) as (n, d), ordered by d then n."""
     for d in itertools.count(1):
         for n in range(d):
             if math.gcd(n, d) == 1:
-                yield Fraction(n, d)
+                yield n, d
+
+
+def _lowest(num: int, den: int) -> tuple:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def parallel_lines(
@@ -206,28 +254,27 @@ def parallel_lines(
         raise ValueError("seed must be an integer")
     skip = seed % 997
 
-    placed = []  # (line, x)
+    placed = []  # (line, n, d) for the point n/d + line * i
     pts = []
     for line in range(lines):
         # lines fill in order, so the points of other lines are all placed
-        # already and the x values they block on this line are fixed
+        # already and the x values they block on this line are fixed:
+        # x1 + (x2 - x1) (line - l1) / (l2 - l1) with x1 = n1/d1, x2 = n2/d2
         blocked = {
-            x1 + (x2 - x1) * (line - l1) / (l2 - l1)
-            for i, (l1, x1) in enumerate(placed)
-            for l2, x2 in placed[i + 1 :]
+            _lowest(n1 * d2 * (l2 - l1) + (n2 * d1 - n1 * d2) * (line - l1), d1 * d2 * (l2 - l1))
+            for i, (l1, n1, d1) in enumerate(placed)
+            for l2, n2, d2 in placed[i + 1 :]
             if l1 != l2
         }
         taken_x = set()
-        stream = _rational_stream()
-        for _ in range(skip):
-            next(stream)
+        stream = itertools.islice(_rational_stream(), skip, None)
         while len(taken_x) < per_line:
-            x = next(stream)
+            n, d = x = next(stream)
             if x in taken_x or x in blocked:
                 continue
             taken_x.add(x)
-            placed.append((line, x))
-            pts.append(_from_ints(4, (x.numerator, line * x.denominator), x.denominator))
+            placed.append((line, n, d))
+            pts.append(_from_ints(4, (n, line * d), d))
 
     return PointSet(
         conductor=4,

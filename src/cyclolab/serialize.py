@@ -43,11 +43,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _coord_strs(x: CycNum) -> list:
+    """x's coordinates as lowest-terms rational strings, read off nums / den."""
+    gs = [math.gcd(c, x.den) for c in x.nums]
+    return [str(c // g) if g == x.den else f"{c // g}/{x.den // g}" for c, g in zip(x.nums, gs)]
+
+
 def cycnum_to_obj(x: CycNum) -> dict:
-    return {
-        "conductor": x.conductor,
-        "coeffs": [fraction_to_str(c) for c in x.coeffs],
-    }
+    return {"conductor": x.conductor, "coeffs": _coord_strs(x)}
 
 
 def obj_to_cycnum(d) -> CycNum:
@@ -76,7 +79,7 @@ def pointset_to_obj(ps: PointSet) -> dict:
             "params": ps.provenance.get("params", {}),
             "seed": ps.seed,
         },
-        "points": [[fraction_to_str(c) for c in p.coeffs] for p in ps.points],
+        "points": [_coord_strs(p) for p in ps.points],
     }
 
 

@@ -33,8 +33,9 @@ def test_gen_erdos_purdy(tmp_path, capsys):
     [
         (3, "69e1e43f01e892c01e72904bb9fef685606782a9f6aa932446f8e44259743e04"),
         (5, "818f852590c30c6089e5c636e6f07b7d25b6ddbbce4e40131a7b10d7e6262f7e"),
+        (7, "6847c9bae2a6efab687d93765891cf656e7ea0966e626e61fec313061361341f"),
     ],
-    ids=["L3", "L5"],
+    ids=["L3", "L5", "L7"],
 )
 def test_gen_erdos_purdy_file_bytes(tmp_path, levels, digest):
     # the kernel's output bytes are pinned, not only their round trip

@@ -1,17 +1,21 @@
 """Point set constructions: doubling, grids, parallel lines."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
+import sympy
 
 from cyclolab import (
     CapExceeded,
     CycNum,
     PointSet,
     erdos_purdy,
+    geometry,
     make_pointset,
     parallel_lines,
+    pointsets,
     root_of_unity,
     square_grid,
 )
@@ -109,6 +113,69 @@ def test_erdos_purdy_matches_greedy_oracle(levels):
     # level l appends the translate of the first 2^l points by its root
     assert [ps.points[2 ** l] for l in range(1, levels)] == chosen
     assert list(ps.points) == pts
+
+
+def _small_residue_field(n):
+    """residue_field over the smallest prime p = 1 (mod n) with p >= 3, where
+    residues of distinct directions often agree."""
+    p = next(q for q in count(n + 1, n) if q >= 3 and sympy.isprime(q))
+    omega = next(
+        w for w in (pow(g, (p - 1) // n, p) for g in range(2, p))
+        if all(pow(w, n // q, p) != 1 for q in sympy.primefactors(n))
+    )
+    return p, omega
+
+
+def test_residue_field_has_a_root_of_phi_of_exact_order():
+    for n in [*range(1, 301), 420, 1260, 13860]:
+        p, omega = geometry.residue_field(n)
+        assert p > 2**61 and (p - 1) % n == 0 and sympy.isprime(p), n
+        assert pow(omega, n, p) == 1, n
+        assert all(pow(omega, n // q, p) != 1 for q in sympy.primefactors(n)), n
+        value = 0
+        for c in reversed(oracles.phi_coeffs(n)):
+            value = (value * omega + c) % p
+        assert value == 0, n
+
+
+def test_erdos_purdy_small_prime_confirms_collisions_exactly(monkeypatch):
+    # over a tiny prime most residue collisions are false; each must be
+    # refuted by exact arithmetic, so the points cannot change
+    calls = []
+    real = geometry.pair_vec
+    monkeypatch.setattr(geometry, "pair_vec", lambda *args: calls.append(args) or real(*args))
+    expected = erdos_purdy(6).points
+    confirmations = len(calls)
+    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    assert erdos_purdy(6).points == expected
+    assert len(calls) - confirmations > 10 * confirmations > 0
+
+
+def test_translate_union_matches_cubic_oracle_over_a_tiny_prime(monkeypatch):
+    # at conductor 4 the tiny prime is 5, so points often share a residue
+    # direction or have no usable one, and every such case is decided exactly
+    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    rng = random.Random(11)
+    roots = [root_of_unity(e, 4) for e in range(4)]
+    keyless = checked = 0
+    while checked < 400:
+        pts = [CycNum(4, (rng.randint(-6, 6), rng.randint(-6, 6))) for _ in range(rng.randint(3, 5))]
+        if len(set(pts)) < len(pts) or oracles.collinear_triples(pts):
+            continue
+        vecs = [p.nums for p in pts]
+        prints = geometry.fingerprints(vecs, 4, 4)
+        keyless += len(prints[1]) - len(set(prints[1]))  # pairs in P with G_i = G_j
+        for a in roots:
+            union = pts + [p + a for p in pts]
+            if len(set(union)) < len(union):
+                continue
+            got = pointsets._translate_union(vecs, 4, a, 4, prints)
+            if oracles.collinear_triples(union):
+                assert got is None, (pts, a)
+            else:
+                assert [CycNum(4, v) for v in got] == union, (pts, a)
+            checked += 1
+    assert keyless > 100
 
 
 def test_erdos_purdy_validation():
