@@ -14,6 +14,7 @@ enters only through `approx_complex` and the interval fallback of
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -564,22 +565,20 @@ def _roots_index(m: int) -> dict:
     return {row: e for e, row in enumerate(_power_table(m)) if next(filter(None, row)) > 0}
 
 
+@dataclass(frozen=True, slots=True)
 class RationalAngleForm:
     """Decomposition w = length * zeta_modulus^exponent with rational length > 0."""
 
-    __slots__ = ("length", "exponent", "modulus")
+    length: Fraction
+    exponent: int
+    modulus: int
 
-    def __init__(self, length: Fraction, exponent: int, modulus: int):
-        if length <= 0:
+    def __post_init__(self):
+        if self.length <= 0:
             raise ValueError("length must be positive")
-        if not 0 <= exponent < modulus:
+        if not 0 <= self.exponent < self.modulus:
             raise ValueError("exponent out of range")
-        object.__setattr__(self, "length", Fraction(length))
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalAngleForm is immutable")
+        object.__setattr__(self, "length", Fraction(self.length))
 
     def value(self) -> CycNum:
         """The element this form denotes."""
@@ -587,14 +586,6 @@ class RationalAngleForm:
 
     def astuple(self):
         return (self.length, self.exponent, self.modulus)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalAngleForm):
-            return NotImplemented
-        return self.astuple() == other.astuple()
-
-    def __hash__(self):
-        return hash(self.astuple())
 
     def __repr__(self):
         return f"RationalAngleForm({self.length}, {self.exponent}, {self.modulus})"
@@ -622,7 +613,7 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     g = math.gcd(*ints)
     if next(filter(None, ints)) < 0:
         g = -g
-    e = _roots_index(m).get(tuple(c // g for c in ints))
+    e = _roots_index(m).get(tuple(ints) if g == 1 else tuple(c // g for c in ints))
     if e is None:
         return None
     if g < 0:

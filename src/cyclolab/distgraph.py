@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 from typing import Optional
 
 from . import geometry
-from .cyclotomic import CycNum, RationalAngleForm, classify_rational_angle, real_sign
+from .cyclotomic import CycNum, RationalAngleForm, _from_ints, classify_rational_angle, real_sign
 from .errors import CapExceeded
 from .mann import SubsetSumTracker, pack_vectors, relation_count_bound
 from .pointsets import PointSet
@@ -68,16 +69,6 @@ class DistanceGraph:
 
     # -- lazy exact-geometry caches ----------------------------------------
 
-    def collinear_indices(self, p: int, q: int, r: int) -> bool:
-        mat = self.pointset.cross_matrix
-        e = mat[q][r]
-        f = mat[p][q]
-        g = mat[p][r]
-        for x, y, z in zip(e, f, g):
-            if x + y - z:
-                return False
-        return True
-
     def squared_distance(self, i: int, j: int) -> CycNum:
         key = (i, j) if i < j else (j, i)
         out = self._sq.get(key)
@@ -114,13 +105,14 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    pts = ps.points
-    n = len(pts)
+    n = len(ps)
+    vecs = geometry.common_scale(ps.points)
+    den = math.lcm(*(p.den for p in ps.points))
     edges = {}
     adj = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            form = classify_rational_angle(pts[j] - pts[i])
+            form = classify_rational_angle(_from_ints(ps.conductor, tuple(map(sub, vecs[j], vecs[i])), den))
             if form is None:
                 continue
             if mode == "unit" and form.length != 1:
@@ -209,30 +201,22 @@ def max_points_on_line(ps: PointSet):
     Groups, for each anchor, the later points into lines through the
     anchor; the anchor with the lowest index on the richest line sees
     that line's full membership, so the maximum over anchors is exact.
-    Membership is decided by the linear identity
-    S(q-p, r-p) = S(q,r) + S(p,q) - S(p,r) on the point set's pairwise
-    S matrix, so no per-pair field inversion is needed.  Returns
+    Membership is the point set's exact triple test `ps.collinear`, which
+    reads one residue pair per point, so no field arithmetic is needed
+    unless a residue vanishes without a norm certificate.  Returns
     (count, sorted tuple of member indices).  Needs at least 2 points.
     """
-    pts = ps.points
-    n = len(pts)
+    n = len(ps)
     if n < 2:
         raise ValueError("need at least two points")
-    mat = ps.cross_matrix
+    collinear = ps.collinear
     best_count = 0
     best_members = None
     for i in range(n):
         groups = []
         for j in range(i + 1, n):
             for members in groups:
-                q = members[0]
-                e = mat[q][j]
-                f = mat[i][q]
-                sic = mat[i][j]
-                for x, y, z in zip(e, f, sic):
-                    if x + y - z:
-                        break
-                else:
+                if collinear(i, members[0], j):
                     members.append(j)
                     break
             else:
@@ -288,9 +272,7 @@ def _admissible_shortest(g: DistanceGraph, p: int, u: int, prefix, scope: str) -
         candidates = g.adjacency[p]
     used = set(prefix)
     for x in candidates:
-        if x == u or x in used:
-            continue
-        if not g.collinear_indices(p, u, x):
+        if x == u or x in used or not g.pointset.collinear(p, u, x):
             continue
         if real_sign(g.squared_distance(p, x) - base) <= 0:
             return False
@@ -452,16 +434,12 @@ def noncollinear_two_path_stats(g: DistanceGraph):
     """
     n = g.n
     adj_sets = [set(a) for a in g.adjacency]
+    collinear = g.pointset.collinear  # a middle m equal to v or w is collinear
     best = 0
     witness = None
     for v in range(n):
         for w in range(v + 1, n):
-            count = 0
-            for m in adj_sets[v] & adj_sets[w]:
-                if m == v or m == w:
-                    continue
-                if not g.collinear_indices(v, m, w):
-                    count += 1
+            count = sum(not collinear(v, m, w) for m in adj_sets[v] & adj_sets[w])
             if count > best:
                 best = count
                 witness = (v, w)

@@ -4,17 +4,13 @@ A point is a CycNum viewed as a complex number.  Collinearity of p, q, r
 is the vanishing of Im((q - p) * conj(r - p)), tested exactly through
 the antisymmetric pairing S(x, y) = x * conj(y) - conj(x) * y:
 
-    collinear(p, q, r)  <=>  S(q, r) - S(q, p) - S(p, r) = 0.
+    collinear(p, q, r)  <=>  S(q - p, r - p) = 0.
 
-`cross_matrix` holds S over all pairs as int tuples: coordinates are
-scaled by one common denominator d first, and S(dx, dy) = d^2 S(x, y)
-keeps every zero test.
-
-A cheaper filter evaluates points in a residue field: with p a prime
-that is 1 mod N and omega of order N mod p, zeta_N -> omega is a ring
-map from Z[zeta_N] to Z/p, so a nonzero residue of S proves a triple is
-not collinear.  A zero residue decides nothing; callers confirm it with
-the exact `pair_vec`.
+Points are tested in a residue field: with p a prime that is 1 mod N
+and omega of order N mod p, zeta_N -> omega is a ring map from Z[zeta_N]
+onto Z/p, so a nonzero residue of S proves a triple is not collinear.
+`collinearity` decides a zero residue by a norm bound when the
+coordinates are small enough, and by the exact `pair_vec` otherwise.
 """
 
 from __future__ import annotations
@@ -41,24 +37,46 @@ def common_scale(points):
     return [[x * (den // p.den) for x in p.nums] for p in points]
 
 
-def cross_matrix(points):
-    """S(x_i, x_j) for all pairs, as int tuples.
+def exact_collinear(x, y, z, n: int) -> bool:
+    """S(y - x, z - x) == 0 for int coefficient vectors x, y, z at conductor n."""
+    u = [s - t for s, t in zip(y, x)]
+    v = [s - t for s, t in zip(z, x)]
+    return not any(pair_vec(u, v, n))
 
-    The points must already share one conductor.  All coordinates are
-    scaled by one common denominator first, which scales every entry by
-    the same positive square and so keeps every collinearity test.
+
+def collinearity(points):
+    """The exact triple test collinear(i, j, k) on points of one conductor n.
+
+    The points are scaled by their common denominator to int vectors x_i
+    (a positive scale keeps every collinearity), and each gets one
+    residue pair F_i = x_i(omega), G_i = conj(x_i)(omega) mod p from
+    `residue_field(n)`.  The residue of S = S(x_j - x_i, x_k - x_i) is
+    r = (F_j - F_i)(G_k - G_i) - (G_j - G_i)(F_k - F_i) mod p.
+
+    - r != 0: S != 0 under the ring map zeta_n -> omega, so the triple is
+      not collinear.
+    - r == 0 and (8 L^2)^phi(n) < p, with L the largest coefficient sum
+      sum(|c|) of a scaled point: the triple is collinear.  The kernel of
+      the ring map is a prime of Z[zeta_n] of norm p, and it holds S, so
+      p divides N(S).  Every embedding sends x_j - x_i and x_k - x_i to at
+      most 2L in absolute value, so S to at most 2 (2L)(2L) = 8 L^2, and
+      |N(S)| <= (8 L^2)^phi(n) < p.  So N(S) = 0, and S = 0.
+    - r == 0 otherwise: the exact `pair_vec` decides.
     """
-    n = len(points)
-    conductor = points[0].conductor if n else 1
+    n = points[0].conductor if points else 1
     vecs = common_scale(points)
-    zero = (0,) * phi(conductor)
-    mat = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = pair_vec(vecs[i], vecs[j], conductor)
-            mat[i][j] = v
-            mat[j][i] = tuple(-x for x in v)
-    return mat
+    p = residue_field(n)[0]
+    F, G = fingerprints(vecs, n, n)
+    L = max((sum(map(abs, v)) for v in vecs), default=0)
+    certified = (8 * L * L) ** phi(n) < p
+
+    def collinear(i, j, k):
+        fi, gi = F[i], G[i]
+        if ((F[j] - fi) * (G[k] - gi) - (G[j] - gi) * (F[k] - fi)) % p:
+            return False
+        return certified or exact_collinear(vecs[i], vecs[j], vecs[k], n)
+
+    return collinear
 
 
 def squared_distance(p: CycNum, q: CycNum) -> CycNum:

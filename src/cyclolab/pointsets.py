@@ -29,7 +29,9 @@ class PointSet:
     """A finite list of distinct plane points over one cyclotomic field.
 
     `points` all carry exactly the declared conductor, and their order is
-    significant: serialization preserves it byte for byte.
+    significant: serialization preserves it byte for byte.  `collinear`
+    is the set's exact triple test on point indices; it keeps one residue
+    pair per point, no table over pairs.
     """
 
     conductor: int
@@ -57,9 +59,10 @@ class PointSet:
         return len(self.points)
 
     @cached_property
-    def cross_matrix(self):
-        """Pairwise collinearity matrix S(x_i, x_j) as int tuples, built on first use."""
-        return geometry.cross_matrix(list(self.points))
+    def collinear(self):
+        """The exact triple test collinear(i, j, k) on point indices, built
+        on first use (see `geometry.collinearity`)."""
+        return geometry.collinearity(self.points)
 
 
 def make_pointset(points, name: str, params: dict, seed: int = 0) -> PointSet:
@@ -124,12 +127,6 @@ def _translate_union(vecs, n, a, big, prints):
             lifted[k] = x
         return lifted[k]
 
-    def collinear(i, j, k):
-        xi = point(i)
-        u = [s - t for s, t in zip(point(j), xi)]
-        v = [s - t for s, t in zip(point(k), xi)]
-        return not any(geometry.pair_vec(u, v, big))
-
     for i in range(m):
         groups, keyless = {}, []
         for j in range(i + 1, 2 * m):
@@ -139,13 +136,13 @@ def _translate_union(vecs, n, a, big, prints):
                 rivals = itertools.chain(group, keyless)
             else:
                 group, rivals = keyless, range(i + 1, j)
-            if j >= m and any(collinear(i, k, j) for k in rivals):
+            if j >= m and any(geometry.exact_collinear(point(i), point(k), point(j), big) for k in rivals):
                 return None
             group.append(j)
     return [point(k) for k in range(2 * m)]
 
 
-def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
+def erdos_purdy(levels: int) -> PointSet:
     """Translation doubling starting from {0, 1}.
 
     Each level picks the first root of unity `a` (in candidate order)
@@ -157,8 +154,8 @@ def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    if levels > cap:
-        raise CapExceeded(f"doubling capped at {cap} levels, got {levels}")
+    if levels > DOUBLING_CAP:
+        raise CapExceeded(f"doubling capped at {DOUBLING_CAP} levels, got {levels}")
 
     conductor = 1
     vecs = [(0,), (1,)]
@@ -191,7 +188,7 @@ def erdos_purdy(levels: int, cap: int = DOUBLING_CAP) -> PointSet:
 # grids and parallel lines
 # ---------------------------------------------------------------------------
 
-def square_grid(rows: int, cols: int, spacing=1, point_budget: int = POINT_BUDGET) -> PointSet:
+def square_grid(rows: int, cols: int, spacing=1) -> PointSet:
     """rows x cols axis-aligned grid with the given rational spacing.
 
     Points are emitted row-major: the point in row r, column c sits at
@@ -199,10 +196,10 @@ def square_grid(rows: int, cols: int, spacing=1, point_budget: int = POINT_BUDGE
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be at least 1")
-    if rows * cols > point_budget:
+    if rows * cols > POINT_BUDGET:
         raise WorkBudgetExceeded(
-            rows * cols, point_budget,
-            f"a grid of {rows * cols} points exceeds the {point_budget}-point limit",
+            rows * cols, POINT_BUDGET,
+            f"a grid of {rows * cols} points exceeds the {POINT_BUDGET}-point limit",
         )
     if isinstance(spacing, float):
         raise TypeError("spacing must be an exact rational, not a float")
@@ -232,9 +229,7 @@ def _lowest(num: int, den: int) -> tuple:
     return num // g, den // g
 
 
-def parallel_lines(
-    lines: int, per_line: int, seed: int = 0, point_budget: int = POINT_BUDGET
-) -> PointSet:
+def parallel_lines(lines: int, per_line: int, seed: int = 0) -> PointSet:
     """per_line points on each of `lines` horizontal lines y = 0..lines-1.
 
     x coordinates are drawn from a fixed enumeration of rationals whose
@@ -245,10 +240,10 @@ def parallel_lines(
     """
     if lines < 1 or per_line < 1:
         raise ValueError("lines and per_line must be at least 1")
-    if lines * per_line > point_budget:
+    if lines * per_line > POINT_BUDGET:
         raise WorkBudgetExceeded(
-            lines * per_line, point_budget,
-            f"{lines * per_line} points on parallel lines exceed the {point_budget}-point limit",
+            lines * per_line, POINT_BUDGET,
+            f"{lines * per_line} points on parallel lines exceed the {POINT_BUDGET}-point limit",
         )
     if not isinstance(seed, int):
         raise ValueError("seed must be an integer")

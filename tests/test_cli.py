@@ -351,16 +351,16 @@ def test_paths_k_over_cap(grid33, capsys):
     assert "capped at 8" in capsys.readouterr().err
 
 
-def test_one_cross_matrix_per_point_set(grid33, monkeypatch):
+def test_one_collinearity_per_point_set(grid33, monkeypatch):
     ep3 = erdos_purdy(3)
     calls = []
-    real = geometry.cross_matrix
+    real = geometry.collinearity
 
     def counting(points):
         calls.append(len(points))
         return real(points)
 
-    monkeypatch.setattr(geometry, "cross_matrix", counting)
+    monkeypatch.setattr(geometry, "collinearity", counting)
     distgraph.analyze(ep3, "unit", 2)
     assert calls == [8]
     calls.clear()

@@ -213,15 +213,14 @@ def test_max_points_on_line_matches_brute(ps):
         )
 
 
-def test_collinear_indices_against_oracle():
+def test_pointset_collinear_against_oracle():
     ps = parallel_lines(3, 3, seed=2)
-    g = build_graph(ps, "rational")
     pts = ps.points
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                assert g.collinear_indices(i, j, k) == oracles.is_collinear(
+                assert ps.collinear(i, j, k) == oracles.is_collinear(
                     pts[i], pts[j], pts[k]
                 )
 

@@ -1,5 +1,6 @@
 """Point set constructions: doubling, grids, parallel lines."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, count
@@ -11,9 +12,13 @@ from cyclolab import (
     CapExceeded,
     CycNum,
     PointSet,
+    analyze,
+    build_graph,
     erdos_purdy,
     geometry,
     make_pointset,
+    max_points_on_line,
+    noncollinear_two_path_stats,
     parallel_lines,
     pointsets,
     root_of_unity,
@@ -294,11 +299,11 @@ def test_parallel_lines_validation():
 
 
 # ---------------------------------------------------------------------------
-# the cross matrix
+# the collinearity test
 # ---------------------------------------------------------------------------
 
-def _shifted_grid():
-    grid = square_grid(3, 4, Fraction(3, 4))
+def _shifted_grid(rows=3, cols=4):
+    grid = square_grid(rows, cols, Fraction(3, 4))
     shift = CycNum(4, (Fraction(1, 3), Fraction(-2, 5)))
     return make_pointset([p + shift for p in grid.points], "shifted_grid", {})
 
@@ -313,17 +318,49 @@ def _moved_doubling():
 
 
 @pytest.mark.parametrize("build", [_shifted_grid, _moved_doubling])
-def test_cross_matrix_zero_tests_match_oracle(build):
-    ps = build()
-    pts = list(ps.points)
+def test_cross_matrix_zero_tests_match_oracle(build, monkeypatch):
+    # ps.collinear under the real prime, then under a tiny prime whose zero
+    # residues are mostly false and must be refuted exactly
+    pts = list(build().points)
     assert any(c.denominator > 1 for p in pts for c in p.coeffs)
-    mat = ps.cross_matrix
-    assert all(type(c) is int for row in mat for entry in row for c in entry)
-    got = [
-        (i, j, k)
-        for i, j, k in combinations(range(len(pts)), 3)
-        if not any(e + f - g for e, f, g in zip(mat[j][k], mat[i][j], mat[i][k]))
-    ]
     expected = oracles.collinear_triples(pts)
-    assert got == expected
     assert 0 < len(expected) < len(list(combinations(pts, 3)))
+    for field in (geometry.residue_field, _small_residue_field):
+        monkeypatch.setattr(geometry, "residue_field", field)
+        ps = build()
+        assert [t for t in combinations(range(len(pts)), 3) if ps.collinear(*t)] == expected
+
+
+def _count_pair_vecs(monkeypatch):
+    calls = []
+    real = geometry.pair_vec
+    monkeypatch.setattr(geometry, "pair_vec", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_norm_certificate_spares_pair_vec_on_small_coordinates(monkeypatch):
+    grid = _shifted_grid(5, 5)
+    doubling = _moved_doubling()
+    calls = _count_pair_vecs(monkeypatch)
+    # every collinear triple of the grid is certified by its zero residue
+    report = analyze(grid, "rational", 2)
+    assert report.max_collinear == 5 and calls == []
+    # at conductor 60 the bound (8 L^2)^16 exceeds p, so the one collinear
+    # triple is confirmed by pair_vec, and every other one is refuted by its residue
+    triples = list(combinations(range(len(doubling)), 3))
+    assert [t for t in triples if doubling.collinear(*t)] == oracles.collinear_triples(doubling.points)
+    assert len(calls) == 1
+
+
+def test_tiny_prime_line_statistics_match_the_real_prime(monkeypatch):
+    sets = [_shifted_grid(5, 5), parallel_lines(3, 4, seed=5), erdos_purdy(4)]
+    graphs = [build_graph(ps, "rational") for ps in sets]
+    expected = [(max_points_on_line(ps), noncollinear_two_path_stats(g)) for ps, g in zip(sets, graphs)]
+    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    calls = _count_pair_vecs(monkeypatch)
+    for ps, want in zip(sets, expected):
+        before = len(calls)
+        fresh = dataclasses.replace(ps)  # a new PointSet builds its test afresh
+        g = build_graph(fresh, "rational")
+        assert (max_points_on_line(fresh), noncollinear_two_path_stats(g)) == want
+        assert len(calls) > before, fresh.provenance["name"]
