@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--in", dest="input_path", required=True)
     an.add_argument("--mode", choices=distgraph.MODES, default="rational")
     an.add_argument("--k", type=int, default=2)
-    an.add_argument("--cap", type=int, default=distgraph.PATH_CAP)
     an.add_argument("--out", default=None, help="report JSON path")
     an.add_argument("--csv", default=None, help="report CSV path")
 
@@ -90,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--k", type=int, default=2)
     pa.add_argument("--shortest", action="store_true")
     pa.add_argument("--scope", choices=("all", "neighbors"), default="all")
-    pa.add_argument("--cap", type=int, default=distgraph.PATH_CAP)
     pa.add_argument("--out", default=None, help="path statistics JSON path")
 
     rp = sub.add_parser("report", help="render a stored analysis report as CSV")
@@ -127,7 +125,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     ps = serialize.load_pointset(args.input_path)
-    report = distgraph.analyze(ps, args.mode, args.k, cap=args.cap)
+    report = distgraph.analyze(ps, args.mode, args.k)
     if args.out:
         serialize.save_report(args.out, report)
     if args.csv:
@@ -196,7 +194,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
     ps = serialize.load_pointset(args.input_path)
     g = distgraph.build_graph(ps, args.mode)
     pair_max, pair_min, source_totals = distgraph.path_stats(
-        g, args.k, shortest_only=args.shortest, vertex_scope=args.scope, cap=args.cap
+        g, args.k, shortest_only=args.shortest, vertex_scope=args.scope
     )
     source_min = min(source_totals)
     max_col, _ = distgraph.max_points_on_line(ps)

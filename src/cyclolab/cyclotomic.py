@@ -6,7 +6,10 @@ reduced modulo the N-th cyclotomic polynomial.  The coefficients are int
 numerators over one positive denominator, in lowest terms, and all
 arithmetic runs on those ints; `Fraction`s appear only at the boundary
 (the public constructor and the `coeffs` view).  Equality and the zero
-test are exact because the representation is canonical.  Floating point
+test are exact because the representation is canonical.  Hashing and
+`min_conductor` descend to the smallest conductor one prime at a time,
+by the relative trace read from the table of powers of zeta; each step
+is confirmed exactly, never taken on the formula alone.  Floating point
 enters only through `approx_complex` and the interval fallback of
 `real_sign`.
 """
@@ -22,9 +25,6 @@ from typing import Iterable, Optional, Union
 import mpmath
 
 from .errors import NotRational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 RationalLike = Union[int, Fraction]
 
@@ -455,61 +455,48 @@ class CycNum:
 # minimal-conductor descent (canonical form for hashing)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _descent_projection(n: int, m: int):
-    """Left inverse of the lift from Q(zeta_m) to Q(zeta_n), m | n.
+def _trace_down(nums, n, p):
+    """Trace from Q(zeta_n) to Q(zeta_m), m = n/p with p prime not dividing
+    m, of the conductor-n ints `nums`, as conductor-m ints.
 
-    Returns (rows, den) in the layout of _monomial_images: row j lists the
-    (index, int) pairs that conductor-n coordinate j contributes to the
-    conductor-m coordinates, all over den.  It recovers the coordinates of
-    every element that lies in Q(zeta_m).  Built by inverting a block of
-    phi(m) independent rows of the lift matrix.
+    With u = p^-1 mod m and v = m^-1 mod p, zeta_n^k = zeta_m^(ku) *
+    zeta_p^(kv), and the trace of zeta_p^(kv) is p - 1 when p | k and -1
+    otherwise, so each coordinate adds one row of `_power_table(m)`.
     """
-    big, w = phi(n), phi(m)
-    # Gauss-Jordan on [L^T | I]; row j of L^T is the lift of zeta_m^j
-    mat = []
-    for j, row in enumerate(_monomial_images(m, n, 1)):
-        vec = [_ZERO] * (big + w)
-        for i, v in row:
-            vec[i] = Fraction(v)
-        vec[big + j] = _ONE
-        mat.append(vec)
-    pivots = []
-    for r, prow in enumerate(mat):
-        c = next(c for c in range(big) if prow[c])
-        inv = 1 / prow[c]
-        nonzero = [(i, x * inv) for i, x in enumerate(prow) if x]
-        for i, x in nonzero:
-            prow[i] = x
-        for row in mat:
-            f = row[c]
-            if row is not prow and f:
-                for i, x in nonzero:
-                    row[i] -= f * x
-        pivots.append(c)
-    # the pivot columns of L^T now read as the identity, so the right half
-    # is the transposed inverse of the pivot block of L
-    den = math.lcm(*(x.denominator for vec in mat for x in vec[big:]))
-    rows = [()] * big
-    for c, vec in zip(pivots, mat):
-        rows[c] = tuple((i, int(x * den)) for i, x in enumerate(vec[big:]) if x)
-    return tuple(rows), den
+    m = n // p
+    u = pow(p, -1, m)
+    table = _power_table(m)
+    acc = [0] * phi(m)
+    for k, c in enumerate(nums):
+        if c:
+            c = c * (p - 1) if k % p == 0 else -c
+            for i, v in enumerate(table[k * u % m]):
+                if v:
+                    acc[i] += c * v
+    return acc
 
 
 def _descend_to_minimal(n, nums, den):
-    """Canonical (conductor, nums, den) key with the smallest possible conductor."""
+    """Canonical (conductor, nums, den) key with the smallest possible conductor.
+
+    Descends one prime p at a time, from n to m = n/p.  When p | m,
+    Phi_n(x) = Phi_m(x^p), so Q(zeta_m) is the span of the coordinates
+    at multiples of p.  Otherwise the degree is d = p - 1 and every x in
+    Q(zeta_m) equals Tr(x)/d; x descends exactly when that quotient lifts
+    back to x, so the formula alone decides no descent.
+    """
     for p in _prime_factors(n):
         m = n // p
-        # the element lies in Q(zeta_m) iff it is fixed by every
-        # automorphism zeta -> zeta^t with t = 1 mod m
-        if all(
-            _map_ints(nums, n, n, t) == list(nums)
-            for t in range(1 + m, n, m)
-            if math.gcd(t, n) == 1
-        ):
-            rows, pden = _descent_projection(n, m)
-            x = _from_ints(m, _apply_int_rows(rows, nums, phi(m)), den * pden)
-            return _descend_to_minimal(m, x.nums, x.den)
+        if m % p == 0:
+            if any(c for k, c in enumerate(nums) if k % p):
+                continue
+            x = _from_ints(m, nums[::p], den)
+        else:
+            image = _trace_down(nums, n, p)
+            if _map_ints(image, m, n) != [(p - 1) * c for c in nums]:
+                continue
+            x = _from_ints(m, image, (p - 1) * den)
+        return _descend_to_minimal(m, x.nums, x.den)
     return n, nums, den
 
 

@@ -279,13 +279,13 @@ def _admissible_shortest(g: DistanceGraph, p: int, u: int, prefix, scope: str) -
     return True
 
 
-def _check_path_args(k: int, cap: int, vertex_scope: str) -> None:
+def _check_path_args(k: int, vertex_scope: str) -> None:
     if vertex_scope not in ("all", "neighbors"):
         raise ValueError("vertex_scope must be 'all' or 'neighbors'")
     if k < 1:
         raise ValueError("path length must be at least 1")
-    if k > cap:
-        raise CapExceeded(f"path length capped at {cap}, got {k}")
+    if k > PATH_CAP:
+        raise CapExceeded(f"path length capped at {PATH_CAP}, got {k}")
 
 
 def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
@@ -335,7 +335,6 @@ def count_irredundant_paths(
     k: int,
     shortest_only: bool = False,
     vertex_scope: str = "all",
-    cap: int = PATH_CAP,
     collect: bool = False,
 ):
     """Number of irredundant k-edge paths from v to w.
@@ -348,7 +347,7 @@ def count_irredundant_paths(
     vertices, "neighbors" only the start's neighbours).  With collect,
     returns (count, list of PathRecords).
     """
-    _check_path_args(k, cap, vertex_scope)
+    _check_path_args(k, vertex_scope)
     if not (0 <= v < g.n and 0 <= w < g.n):
         raise ValueError("vertex index out of range")
     if v == w:
@@ -366,10 +365,9 @@ def irredundant_path_census(
     k: int,
     shortest_only: bool = False,
     vertex_scope: str = "all",
-    cap: int = PATH_CAP,
 ) -> dict:
     """Endpoint -> count of irredundant k-edge paths from source."""
-    _check_path_args(k, cap, vertex_scope)
+    _check_path_args(k, vertex_scope)
     if not 0 <= source < g.n:
         raise ValueError("vertex index out of range")
     counts, _ = _path_census(
@@ -383,7 +381,6 @@ def path_stats(
     k: int,
     shortest_only: bool = False,
     vertex_scope: str = "all",
-    cap: int = PATH_CAP,
 ):
     """Census from every source: (pair_max, pair_min, source_totals).
 
@@ -397,7 +394,7 @@ def path_stats(
     highs, lows, source_totals = [], [], []
     for v in range(g.n):
         counts = irredundant_path_census(
-            g, v, k, shortest_only=shortest_only, vertex_scope=vertex_scope, cap=cap
+            g, v, k, shortest_only=shortest_only, vertex_scope=vertex_scope
         )
         row = [counts.get(w, 0) for w in range(g.n) if w != v]
         highs.append(max(row))
@@ -476,7 +473,7 @@ class AnalysisReport:
     all_ceilings_hold: bool
 
 
-def analyze(ps: PointSet, mode: str, k: int = 2, cap: int = PATH_CAP) -> AnalysisReport:
+def analyze(ps: PointSet, mode: str, k: int = 2) -> AnalysisReport:
     """Build the graph, peel it, and compare path counts against bounds.
 
     The peel threshold is the exact fraction edge_count / (2 n).  Path
@@ -486,7 +483,7 @@ def analyze(ps: PointSet, mode: str, k: int = 2, cap: int = PATH_CAP) -> Analysi
     the continuation floor apply unconditionally, and the peeling
     guarantee is checked whenever there is at least one edge.
     """
-    _check_path_args(k, cap, "all")
+    _check_path_args(k, "all")
     g = build_graph(ps, mode)
     n = g.n
     e = g.edge_count
@@ -508,7 +505,7 @@ def analyze(ps: PointSet, mode: str, k: int = 2, cap: int = PATH_CAP) -> Analysi
     pair_min = 0
     source_min = None
     if sub.n >= 2:
-        pair_max, pair_min, source_totals = path_stats(sub, k, cap=cap)
+        pair_max, pair_min, source_totals = path_stats(sub, k)
         source_min = min(source_totals)
 
     two_path_max, _ = noncollinear_two_path_stats(g)

@@ -522,6 +522,8 @@ def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
 
     The scan censuses at most m(m+1)/2 * |cs|^2 targets in Q(zeta_m).
     """
+    if m < 1:
+        raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
     _charge(k, m, cs, phi(m), budget, m * (m + 1) // 2 * len(cs) ** 2)
 

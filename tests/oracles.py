@@ -410,6 +410,30 @@ def norm_classify(w: CycNum):
     return None
 
 
+def brute_min_conductor(x: CycNum) -> int:
+    """Smallest d | n (n the conductor of x) such that x is fixed by every
+    zeta -> zeta^t with t = 1 mod d and gcd(t, n) = 1: the conductor of
+    the fixed field.  Each image is the exponent-permuted long form,
+    reduced mod Phi_n, of x's int numerators."""
+    n = x.conductor
+    phic = phi_coeffs(n)
+    ints = x.nums
+    fixed = {}
+
+    def fixes(t):
+        if t not in fixed:
+            moved = [0] * n
+            for j, c in enumerate(ints):
+                moved[j * t % n] += c
+            fixed[t] = reduce_mod_phi(moved, phic) == ints
+        return fixed[t]
+
+    for d in range(1, n + 1):
+        if n % d == 0 and all(fixes(t) for t in range(1, n, d) if gcd(t, n) == 1):
+            return d
+    raise AssertionError("unreachable: d = n is always fixed")
+
+
 # ---------------------------------------------------------------------------
 # path oracle
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ measured statistics; an assertion failure keeps that line from
 appearing.  Wall-clock budgets are asserted where a criterion sets one.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import cyclolab
 from cyclolab import (
     CycNum,
     DistanceGraph,
@@ -331,4 +335,32 @@ def test_criterion_9_determinism_roundtrip(tmp_path, announce):
     announce(
         "criterion 9 PASS determinism: regeneration is byte-identical and "
         "pointset/report files round-trip losslessly (JSON and CSV)"
+    )
+
+
+_COLD_DESCENT = """
+import time
+from fractions import Fraction
+from cyclolab import CycNum
+started = time.perf_counter()
+conductor = CycNum.from_rational(Fraction(3, 7)).lift(2310).min_conductor()
+print(conductor, time.perf_counter() - started)
+"""
+
+
+def test_criterion_10_cold_descent(announce):
+    # a fresh interpreter, so no root table or descent state is warm; the
+    # timed work includes the lift to 2310 = 2*3*5*7*11
+    src = os.path.dirname(os.path.dirname(cyclolab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_DESCENT], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    conductor, elapsed = int(out[0]), float(out[1])
+    assert conductor == 1
+    assert elapsed < 10.0, f"cold descent from 2310 took {elapsed:.1f}s"
+    announce(
+        f"criterion 10 PASS cold descent: 3/7 lifted to conductor 2310 has minimal "
+        f"conductor 1 in a fresh process ({elapsed:.2f}s)"
     )

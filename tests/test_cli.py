@@ -195,8 +195,8 @@ def test_analyze_exit_code_on_ceiling_failure(tmp_path, monkeypatch, capsys):
     assert run(["gen", "grid", "--rows", 2, "--cols", 2, "--out", path]) == 0
     real = distgraph.analyze
 
-    def doctored(ps, mode, k=2, cap=distgraph.PATH_CAP):
-        rep = real(ps, mode, k, cap=cap)
+    def doctored(ps, mode, k=2):
+        rep = real(ps, mode, k)
         rep.ceilings["two_path"]["holds"] = False
         return dataclasses.replace(rep, all_ceilings_hold=False)
 
@@ -275,6 +275,11 @@ def test_mann_target_scan(capsys):
 def test_mann_errors(capsys, args):
     assert run(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_mann_target_scan_rejects_zero_modulus(capsys):
+    assert run(["mann", "--k", 2, "--modulus", 0, "--target-scan"]) == 2
+    assert capsys.readouterr().err == "error: modulus must be positive\n"
 
 
 def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):

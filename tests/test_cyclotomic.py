@@ -266,6 +266,35 @@ def test_change_conductor_round_trip():
         change_conductor(z3, 0)
 
 
+# 420 and 1260 each take both descent branches: from 1260 to 420 and from
+# 420 to 210 the prime p divides the smaller conductor (coordinates at
+# multiples of p); from 1260 to 180 and from 420 to 60 it does not (trace,
+# then lift back)
+_DESCENT_CASES = [
+    (m, m * q) for m in (1, 2, 3, 4, 6, 9, 10, 12, 15, 30, 60, 105) for q in (2, 3, 5, 7)
+] + [(210, 420), (420, 1260), (180, 1260)]
+
+
+@pytest.mark.parametrize("m, n", _DESCENT_CASES)
+def test_descent_matches_fixed_field_oracle(m, n):
+    rng = random.Random(m * 100003 + n)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    dense = CycNum(
+        m,
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0 for _ in range(phi(m))],
+    )
+    # a sum of two roots of orders dividing m usually lies in a smaller field
+    sparse = Fraction(rng.randint(1, 3), rng.randint(1, 2)) * root_of_unity(
+        rng.randrange(m), rng.choice(divisors)
+    ) - root_of_unity(rng.randrange(m), rng.choice(divisors))
+    for x in (dense, sparse.lift(m)):
+        y = x.lift(n)
+        assert y.min_conductor() == oracles.brute_min_conductor(y)
+        assert y._minimal_key() == x._minimal_key()
+        assert hash(y) == hash(x)
+        assert change_conductor(y, y.min_conductor()).lift(n) == y
+
+
 @given(cycnum_pairs(), st.sampled_from([2, 3, 5, 7]))
 @settings(max_examples=30, deadline=None)
 def test_lifting_preserves_results(pair, mult):

@@ -697,6 +697,13 @@ def test_target_scan_builds_one_tracker(monkeypatch):
     assert len(built) == 1
 
 
+def test_target_scan_rejects_nonpositive_modulus():
+    # refused before the scan charges phi(m), with the enumerator's message
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="^modulus must be positive$"):
+            two_term_target_scan(2, m, (1,))
+
+
 # ---------------------------------------------------------------------------
 # the extension certificate
 # ---------------------------------------------------------------------------
