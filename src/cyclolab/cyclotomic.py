@@ -8,8 +8,8 @@ arithmetic runs on those ints; `Fraction`s appear only at the boundary
 (the public constructor and the `coeffs` view).  Equality and the zero
 test are exact because the representation is canonical.  Hashing and
 `min_conductor` descend to the smallest conductor one prime at a time,
-by the relative trace read from the table of powers of zeta; each step
-is confirmed exactly, never taken on the formula alone.  Floating point
+reading the coordinates over each subfield from the table of powers of
+zeta, so one exact pass decides each prime.  Floating point
 enters only through `approx_complex` and the interval fallback of
 `real_sign`.
 """
@@ -173,16 +173,6 @@ def _monomial_images(n: int, m: int, t: int) -> tuple:
     )
 
 
-def _apply_int_rows(rows, ints, width) -> list:
-    """sum(ints[j] * rows[j]) as a list of `width` ints."""
-    acc = [0] * width
-    for c, row in zip(ints, rows):
-        if c:
-            for i, v in row:
-                acc[i] += c * v
-    return acc
-
-
 def _int_product(a, b, n):
     """Product of two int coefficient vectors in Q(zeta_n), reduced mod Phi_n."""
     return _reduce_vec(_poly_mul_int(a, b), n)
@@ -190,7 +180,12 @@ def _int_product(a, b, n):
 
 def _map_ints(nums, n, m, t=1):
     """Image of conductor-n int coefficients under zeta_n -> zeta_m^(t*m/n), at conductor m."""
-    return _apply_int_rows(_monomial_images(n, m, t), nums, phi(m))
+    acc = [0] * phi(m)
+    for c, row in zip(nums, _monomial_images(n, m, t)):
+        if c:
+            for i, v in row:
+                acc[i] += c * v
+    return acc
 
 
 def _as_fraction(c):
@@ -455,47 +450,42 @@ class CycNum:
 # minimal-conductor descent (canonical form for hashing)
 # ---------------------------------------------------------------------------
 
-def _trace_down(nums, n, p):
-    """Trace from Q(zeta_n) to Q(zeta_m), m = n/p with p prime not dividing
-    m, of the conductor-n ints `nums`, as conductor-m ints.
-
-    With u = p^-1 mod m and v = m^-1 mod p, zeta_n^k = zeta_m^(ku) *
-    zeta_p^(kv), and the trace of zeta_p^(kv) is p - 1 when p | k and -1
-    otherwise, so each coordinate adds one row of `_power_table(m)`.
-    """
-    m = n // p
-    u = pow(p, -1, m)
-    table = _power_table(m)
-    acc = [0] * phi(m)
-    for k, c in enumerate(nums):
-        if c:
-            c = c * (p - 1) if k % p == 0 else -c
-            for i, v in enumerate(table[k * u % m]):
-                if v:
-                    acc[i] += c * v
-    return acc
-
-
 def _descend_to_minimal(n, nums, den):
     """Canonical (conductor, nums, den) key with the smallest possible conductor.
 
-    Descends one prime p at a time, from n to m = n/p.  When p | m,
-    Phi_n(x) = Phi_m(x^p), so Q(zeta_m) is the span of the coordinates
-    at multiples of p.  Otherwise the degree is d = p - 1 and every x in
-    Q(zeta_m) equals Tr(x)/d; x descends exactly when that quotient lifts
-    back to x, so the formula alone decides no descent.
+    Descends one prime p at a time, from n to m = n/p, reading x's
+    coordinates over Q(zeta_m).  When p | m, Phi_n(x) = Phi_m(x^p), so
+    Q(zeta_m) is the span of the coordinates at multiples of p.
+    Otherwise Q(zeta_n) = Q(zeta_m)(zeta_p) has degree p - 1 over
+    Q(zeta_m), with basis 1, zeta_p, ..., zeta_p^(p-2).  With u = p^-1
+    mod m and v = m^-1 mod p, zeta_n^k = zeta_m^(ku) * zeta_p^(kv), so
+    x = sum over j < p of A_j zeta_p^(jv), where A_j in Q(zeta_m) adds
+    c_k times row ku mod m of `_power_table(m)` over k = j mod p.  Write
+    B_r for the A_j with jv = r mod p.  As zeta_p^(p-1) = -(1 + ... +
+    zeta_p^(p-2)), x = sum over r < p - 1 of (B_r - B_(p-1)) zeta_p^r,
+    and jv runs over the nonzero residues as j does, so x lies in
+    Q(zeta_m) exactly when A_1 = ... = A_(p-1); then x = A_0 - A_1.
     """
     for p in _prime_factors(n):
         m = n // p
         if m % p == 0:
             if any(c for k, c in enumerate(nums) if k % p):
                 continue
-            x = _from_ints(m, nums[::p], den)
+            image = nums[::p]
         else:
-            image = _trace_down(nums, n, p)
-            if _map_ints(image, m, n) != [(p - 1) * c for c in nums]:
+            u = pow(p, -1, m)
+            table = _power_table(m)
+            parts = [[0] * phi(m) for _ in range(p)]
+            for k, c in enumerate(nums):
+                if c:
+                    acc = parts[k % p]
+                    for i, t in enumerate(table[k * u % m]):
+                        if t:
+                            acc[i] += c * t
+            if any(a != parts[1] for a in parts[2:]):
                 continue
-            x = _from_ints(m, image, (p - 1) * den)
+            image = [a - b for a, b in zip(parts[0], parts[1])]
+        x = _from_ints(m, image, den)
         return _descend_to_minimal(m, x.nums, x.den)
     return n, nums, den
 

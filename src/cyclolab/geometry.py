@@ -18,17 +18,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .cyclotomic import (
-    CycNum, _apply_int_rows, _int_product, _monomial_images, _prime_factors, cyclotomic_polynomial, phi,
-)
+from .cyclotomic import CycNum, _int_product, _map_ints, _prime_factors, cyclotomic_polynomial, phi
 
 
 def pair_vec(x, y, n: int) -> tuple:
     """S(x, y) for int coefficient vectors x, y at conductor n."""
-    width = phi(n)
-    conj = _monomial_images(n, n, n - 1)
-    w = _int_product(x, _apply_int_rows(conj, y, width), n)
-    return tuple(a - b for a, b in zip(w, _apply_int_rows(conj, w, width)))
+    w = _int_product(x, _map_ints(y, n, n, n - 1), n)
+    return tuple(a - b for a, b in zip(w, _map_ints(w, n, n, n - 1)))
 
 
 def common_scale(points):

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
-    CycNum, _as_fraction, _map_ints, _power_table, _root_turn, _to_int_scaled, phi,
+    CycNum, _as_fraction, _from_ints, _map_ints, _power_table, _root_turn, _to_int_scaled, phi,
     root_of_unity,
 )
 from .errors import CapExceeded, WorkBudgetExceeded
@@ -541,14 +541,15 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     if k < 1:
         raise ValueError("length must be at least 1")
     table = _power_table(m)
+    scaled, den = _to_int_scaled([_as_fraction(c) for c in coeff_set])
     keyed = {}
     for e1 in range(m):
-        for c1 in coeff_set:
+        for c1 in scaled:
             for e2 in range(e1, m):
-                for c2 in coeff_set:
+                for c2 in scaled:
                     key = tuple(c1 * x + c2 * y for x, y in zip(table[e1], table[e2]))
                     if any(key) and key not in keyed:
-                        keyed[key] = CycNum(m, key)
+                        keyed[key] = _from_ints(m, key, den)
     targets = list(keyed.values())
     worst = 0
     worst_target = None

@@ -316,9 +316,16 @@ def save_json(path, doc) -> None:
         fh.write(canonical_json(doc))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except RecursionError:
+            raise ValueError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("document root must be an object")
     return doc

@@ -612,3 +612,25 @@ def test_malformed_report_via_cli_exits_2(ep3, tmp_path, capsys, change):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "paths", "report"])
+@pytest.mark.parametrize(
+    "constant", [None, "NaN", "Infinity", "-Infinity"], ids=["deep", "nan", "inf", "-inf"]
+)
+def test_hostile_json_via_cli_exits_2(ep3, tmp_path, capsys, command, constant):
+    if constant is None:
+        text = "[" * 100000
+    else:
+        # a stored report, otherwise valid, whose excess exponent is not a JSON number
+        rep_path = tmp_path / "rep.json"
+        assert run(["analyze", "--in", ep3, "--mode", "unit", "--out", rep_path]) == 0
+        doc = json.loads(rep_path.read_text(encoding="utf-8"))
+        text = json.dumps(dict(doc, excess_exponent="X")).replace('"X"', constant)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run([command, "--in", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -21,6 +22,7 @@ from cyclolab import (
     root_of_unity,
     unit_roots,
 )
+from cyclolab import cyclotomic
 from cyclolab.cyclotomic import _poly_mul_int, _roots_index
 
 import oracles
@@ -268,11 +270,14 @@ def test_change_conductor_round_trip():
 
 # 420 and 1260 each take both descent branches: from 1260 to 420 and from
 # 420 to 210 the prime p divides the smaller conductor (coordinates at
-# multiples of p); from 1260 to 180 and from 420 to 60 it does not (trace,
-# then lift back)
+# multiples of p); from 1260 to 180 and from 420 to 60 it does not
+# (coordinates over the subfield in the basis 1, zeta_p, ..., zeta_p^(p-2)).
+# q = 11 and 13 fold zeta_q^(q-1) across many slots.
 _DESCENT_CASES = [
     (m, m * q) for m in (1, 2, 3, 4, 6, 9, 10, 12, 15, 30, 60, 105) for q in (2, 3, 5, 7)
-] + [(210, 420), (420, 1260), (180, 1260)]
+] + [(m, m * q) for m in (1, 2, 3, 4, 6, 12) for q in (11, 13)] + [
+    (210, 420), (420, 1260), (180, 1260)
+]
 
 
 @pytest.mark.parametrize("m, n", _DESCENT_CASES)
@@ -293,6 +298,23 @@ def test_descent_matches_fixed_field_oracle(m, n):
         assert y._minimal_key() == x._minimal_key()
         assert hash(y) == hash(x)
         assert change_conductor(y, y.min_conductor()).lift(n) == y
+
+
+def test_cold_descent_asks_only_for_smaller_power_tables(monkeypatch):
+    x = (root_of_unity(1, 12) + Fraction(1, 3)).lift(420)
+    real = cyclotomic._power_table
+    asked = []
+
+    def recorder(m):
+        asked.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cyclotomic, "_power_table", recorder)
+    # lift maps built before this test would hide a request for table 420
+    fresh = lru_cache(maxsize=None)(cyclotomic._monomial_images.__wrapped__)
+    monkeypatch.setattr(cyclotomic, "_monomial_images", fresh)
+    assert x.min_conductor() == 12
+    assert asked and all(m < 420 for m in asked)
 
 
 @given(cycnum_pairs(), st.sampled_from([2, 3, 5, 7]))
