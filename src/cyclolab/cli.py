@@ -109,11 +109,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.construction == "grid":
         ps = pointsets.square_grid(args.rows, args.cols, _parse_spacing(args.spacing))
         default_out = f"grid_{args.rows}x{args.cols}.json"
-    elif args.construction == "lines":
+    else:  # "lines", the last construction the parser admits
         ps = pointsets.parallel_lines(args.lines, args.per_line, args.seed)
         default_out = f"lines_{args.lines}x{args.per_line}_s{args.seed}.json"
-    else:
-        raise ValueError(f"unknown construction {args.construction!r}")
     out = args.out or default_out
     serialize.save_pointset(out, ps)
     print(
@@ -160,17 +158,13 @@ def cmd_mann(args: argparse.Namespace) -> int:
     relations = mann.enumerate_minimal_vanishing_sums(
         args.k, args.modulus, coeffs, budget=args.budget
     )
-    bad = []
-    for t in relations:
-        cert = mann.certify_mann(t)
-        if not cert.verdict:
-            bad.append((t, cert))
+    bad = [cert for cert in map(mann.certify_mann, relations) if not cert.verdict]
     print(
         f"k={args.k} modulus={args.modulus} coeffs={','.join(str(c) for c in coeffs)}: "
         f"{len(relations)} minimal vanishing sums, "
         f"{len(relations) - len(bad)} certified at ratio order {mann.mann_modulus(args.k)}"
     )
-    for t, cert in bad:
+    for cert in bad:
         print(f"  FAILED certification: witness pair {cert.witness}")
     if args.out:
         serialize.save_relations(args.out, relations)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import sub
 from typing import Optional
 
@@ -199,33 +200,24 @@ def max_points_on_line(ps: PointSet):
     """Largest number of points of ps on one line, with a witness.
 
     Groups, for each anchor, the later points into lines through the
-    anchor; the anchor with the lowest index on the richest line sees
-    that line's full membership, so the maximum over anchors is exact.
-    Membership is the point set's exact triple test `ps.collinear`, which
-    reads one residue pair per point, so no field arithmetic is needed
-    unless a residue vanishes without a norm certificate.  Returns
+    anchor with `geometry.lines_through`; the anchor with the lowest index
+    on the richest line sees that line's full membership, so the maximum
+    over anchors is exact.  Membership is decided by the point set's
+    exact triple test `ps.collinear` and its residue pairs.  Returns
     (count, sorted tuple of member indices).  Needs at least 2 points.
     """
     n = len(ps)
     if n < 2:
         raise ValueError("need at least two points")
     collinear = ps.collinear
-    best_count = 0
-    best_members = None
-    for i in range(n):
-        groups = []
-        for j in range(i + 1, n):
-            for members in groups:
-                if collinear(i, members[0], j):
-                    members.append(j)
-                    break
-            else:
-                groups.append([j])
-        for js in groups:
-            if 1 + len(js) > best_count:
-                best_count = 1 + len(js)
-                best_members = tuple([i] + js)
-    return best_count, best_members
+    best = 0, None
+    for i in range(n - 1):
+        steps = geometry.lines_through(i, range(i + 1, n), *collinear.residues, partial(collinear, i))
+        # a line is yielded first as it starts, and is full once steps run out
+        line = max([line for line in steps if len(line) == 1], key=len)
+        if 1 + len(line) > best[0]:
+            best = 1 + len(line), (i, *line)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ and omega of order N mod p, zeta_N -> omega is a ring map from Z[zeta_N]
 onto Z/p, so a nonzero residue of S proves a triple is not collinear.
 `collinearity` decides a zero residue by a norm bound when the
 coordinates are small enough, and by the exact `pair_vec` otherwise.
+`lines_through` groups points into lines through an anchor by one
+residue direction key per point, for the line scan and the doubling.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -46,7 +49,8 @@ def collinearity(points):
     The points are scaled by their common denominator to int vectors x_i
     (a positive scale keeps every collinearity), and each gets one
     residue pair F_i = x_i(omega), G_i = conj(x_i)(omega) mod p from
-    `residue_field(n)`.  The residue of S = S(x_j - x_i, x_k - x_i) is
+    `residue_field(n)`, kept as `collinear.residues = (F, G, p)` on the
+    returned test.  The residue of S = S(x_j - x_i, x_k - x_i) is
     r = (F_j - F_i)(G_k - G_i) - (G_j - G_i)(F_k - F_i) mod p.
 
     - r != 0: S != 0 under the ring map zeta_n -> omega, so the triple is
@@ -72,7 +76,40 @@ def collinearity(points):
             return False
         return certified or exact_collinear(vecs[i], vecs[j], vecs[k], n)
 
+    collinear.residues = F, G, p
     return collinear
+
+
+def lines_through(i, js, F, G, p, same):
+    """Group the points js into lines through point i, yielding for each j
+    the line it joins: a list of indices, new if it holds j alone.
+
+    Point j has the key (F_j - F_i) / (G_j - G_i) mod p, or none if
+    G_j = G_i, for residue pairs F, G mod p as from `fingerprints`.  On a
+    line through i the residue of S(x_k - x_i, x_j - x_i),
+    (F_k - F_i)(G_j - G_i) - (G_k - G_i)(F_j - F_i), vanishes, so points
+    with keys share their key.  So the exact `same(k, j)` tests j only
+    against the first point k of each line with j's key or with no key,
+    and a keyless j against every line.  Keys are kept times the product
+    of every nonzero G_j - G_i, one factor for all, so none is inverted.
+    """
+    dgs = [(G[j] - G[i]) % p for j in js]
+    factors = [d or 1 for d in dgs]
+    before = list(itertools.accumulate(factors, lambda a, b: a * b % p, initial=1))
+    after = list(itertools.accumulate(factors[::-1], lambda a, b: a * b % p, initial=1))[::-1]
+    lines, keyless, keyed = [], [], {}
+    for t, (j, dg) in enumerate(zip(js, dgs)):
+        if dg:
+            group = keyed.setdefault((F[j] - F[i]) * before[t] * after[t + 1] % p, [])
+            rivals = itertools.chain(group, keyless)
+        else:
+            group, rivals = keyless, lines
+        line = next((line for line in rivals if same(line[0], j)), [])
+        if not line:
+            lines.append(line)
+            group.append(line)
+        line.append(j)
+        yield line
 
 
 def squared_distance(p: CycNum, q: CycNum) -> CycNum:

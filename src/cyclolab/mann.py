@@ -49,10 +49,7 @@ def primes_upto(x) -> list:
 
 
 def _primorial_upto(x) -> int:
-    out = 1
-    for p in primes_upto(x):
-        out *= p
-    return out
+    return math.prod(primes_upto(x))
 
 
 def mann_modulus(k: int) -> int:
@@ -344,7 +341,7 @@ def enumerate_minimal_vanishing_sums(
     chosen = []
     found = set()
 
-    def extend(min_idx, remaining):
+    def extend(min_idx, stop, remaining):
         if remaining == 1:
             # a closing term leaves no vanishing proper subset: a proper
             # subset of the chosen terms plus it sums to minus the rest,
@@ -355,37 +352,30 @@ def enumerate_minimal_vanishing_sums(
                     entries = tuple(pairs[i] for i in chosen) + (pairs[idx],)
                     found.add(_canonical_entries(entries, m))
             return
-        for idx in range(min_idx, len(pairs)):
+        for idx in range(min_idx, stop):
             v = values[idx]
             if tracker.conflicts(v):
                 continue
             tracker.push(v)
             chosen.append(idx)
-            extend(idx, remaining - 1)
+            extend(idx, len(pairs), remaining - 1)
             chosen.pop()
             tracker.pop()
 
-    # pivot term at exponent zero; the other terms follow in sorted order
-    for pivot_idx in range(len(cs)):
-        v = values[pivot_idx]
-        tracker.push(v)
-        chosen.append(pivot_idx)
-        extend(pivot_idx, k - 1)
-        chosen.pop()
-        tracker.pop()
+    # the pivot term is at exponent zero, one of the first len(cs) pairs;
+    # the other terms follow in sorted order
+    extend(0, len(cs), k)
 
     zero = CycNum.zero()
-    out = []
-    for entries in sorted(found):
-        out.append(
-            RelationTuple(
-                roots=tuple(root_of_unity(e, m) for e, _ in entries),
-                coeffs=tuple(c for _, c in entries),
-                target=zero,
-                minimal=True,
-            )
+    return [
+        RelationTuple(
+            roots=tuple(root_of_unity(e, m) for e, _ in entries),
+            coeffs=tuple(c for _, c in entries),
+            target=zero,
+            minimal=True,
         )
-    return out
+        for entries in sorted(found)
+    ]
 
 
 def certify_mann(t: RelationTuple) -> MannCertificate:
@@ -582,12 +572,10 @@ def certify_extension(t1: RelationTuple, t2: RelationTuple):
     witness = {}
     for j, r2 in enumerate(t2.roots):
         turn2 = _root_turn(r2)
-        hit = None
         for i, turn1 in enumerate(turns1):
             if ((turn2 - turn1) * m).denominator == 1:
-                hit = i
+                witness[j] = i
                 break
-        if hit is None:
+        else:
             return False, witness
-        witness[j] = hit
     return True, witness

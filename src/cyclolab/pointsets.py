@@ -6,7 +6,7 @@ rational-angle pairs; an axis-aligned square grid; and clusters of
 points spread over horizontal lines with no three points collinear
 across distinct lines.  All constructions are reproducible from their
 parameters (and seed, where one applies).  The doubling screens its
-translates by residue direction keys and confirms collinearity exactly.
+translates by `geometry.lines_through` and confirms collinearity exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from . import geometry
 from .cyclotomic import CycNum, _from_ints, _map_ints, change_conductor, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
@@ -107,10 +107,8 @@ def _translate_union(vecs, n, a, big, prints):
     triple, and `prints` its `geometry.fingerprints` into conductor big.
 
     Point k < m is x_k and point m + k is x_k + a.  Only triples at an
-    anchor x_i with a translate among the other two need a test.  From
-    x_i, later point j has the key (F_j - F_i) / (G_j - G_i) mod p, and
-    points with different keys are not collinear with x_i.  Equal keys,
-    and points with no key (G_j = G_i), are decided by exact `pair_vec`.
+    anchor x_i with a translate among the other two need a test, and
+    `geometry.lines_through` makes them with the lazily lifted exact test.
     """
     p = geometry.residue_field(big)[0]
     m = len(vecs)
@@ -127,18 +125,13 @@ def _translate_union(vecs, n, a, big, prints):
             lifted[k] = x
         return lifted[k]
 
+    def collinear(i, k, j):  # P has no collinear triple
+        return j >= m and geometry.exact_collinear(point(i), point(k), point(j), big)
+
     for i in range(m):
-        groups, keyless = {}, []
-        for j in range(i + 1, 2 * m):
-            dg = (G[j] - G[i]) % p
-            if dg:
-                group = groups.setdefault((F[j] - F[i]) * pow(dg, -1, p) % p, [])
-                rivals = itertools.chain(group, keyless)
-            else:
-                group, rivals = keyless, range(i + 1, j)
-            if j >= m and any(geometry.exact_collinear(point(i), point(k), point(j), big) for k in rivals):
-                return None
-            group.append(j)
+        lines = geometry.lines_through(i, range(i + 1, 2 * m), F, G, p, partial(collinear, i))
+        if any(len(line) > 1 for line in lines):
+            return None
     return [point(k) for k in range(2 * m)]
 
 

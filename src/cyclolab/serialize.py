@@ -23,10 +23,6 @@ from .pointsets import PointSet
 FORMAT_VERSION = 1
 
 
-def fraction_to_str(f: Fraction) -> str:
-    return str(f)
-
-
 def str_to_fraction(s) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
@@ -132,7 +128,7 @@ def relation_to_obj(t: RelationTuple) -> dict:
         "k": len(t),
         "conductor": m,
         "roots": [int(_root_turn(r) * m) for r in t.roots],
-        "coeffs": [fraction_to_str(c) for c in t.coeffs],
+        "coeffs": [str(c) for c in t.coeffs],
         "target": cycnum_to_obj(t.target),
         "minimal": t.minimal,
     }
@@ -202,7 +198,7 @@ def obj_to_relations(d) -> list:
 
 def report_to_obj(r: AnalysisReport) -> dict:
     obj = {"format_version": FORMAT_VERSION, "kind": "analysis_report", **dataclasses.asdict(r)}
-    obj["peel_threshold"] = fraction_to_str(r.peel_threshold)
+    obj["peel_threshold"] = str(r.peel_threshold)
     return obj
 
 
@@ -281,8 +277,6 @@ def _cell(value) -> str:
         return "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return fraction_to_str(value)
     return str(value)
 
 

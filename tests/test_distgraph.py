@@ -1,5 +1,6 @@
 """Distance graphs: classification, peeling, lines, paths, analysis."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from cyclolab import (
     build_graph,
     count_irredundant_paths,
     erdos_purdy,
+    geometry,
     irredundant_path_census,
     make_pointset,
     max_points_on_line,
@@ -211,6 +213,28 @@ def test_max_points_on_line_matches_brute(ps):
         assert oracles.is_collinear(
             pts[got_members[0]], pts[got_members[1]], pts[got_members[a]]
         )
+
+
+def test_line_scan_confirms_only_residue_collisions(monkeypatch):
+    # one residue key per later point from each anchor, not a triple test
+    # per pair of later points: C(64, 3) = 41664 tests would be cubic
+    calls = []
+    real = geometry.collinearity
+
+    def counting(points):
+        test = real(points)
+
+        @functools.wraps(test)
+        def collinear(*triple):
+            calls.append(triple)
+            return test(*triple)
+
+        return collinear
+
+    monkeypatch.setattr(geometry, "collinearity", counting)
+    ps = erdos_purdy(6)
+    assert max_points_on_line(ps) == (2, (0, 1))
+    assert len(calls) < 64 ** 2
 
 
 def test_pointset_collinear_against_oracle():

@@ -364,3 +364,32 @@ def test_tiny_prime_line_statistics_match_the_real_prime(monkeypatch):
         g = build_graph(fresh, "rational")
         assert (max_points_on_line(fresh), noncollinear_two_path_stats(g)) == want
         assert len(calls) > before, fresh.provenance["name"]
+
+
+def test_line_scan_over_a_tiny_prime_matches_brute_force(monkeypatch):
+    # the union test only sees collinear-free sets; here lines through an
+    # anchor hold several points, and at conductor 4 the tiny prime is 5,
+    # so many later points share a key or have none (G_j = G_i), some of
+    # them even with F_j = F_i (coordinates that differ by 5)
+    rng = random.Random(5)
+    sets = []
+    while len(sets) < 150:
+        pts = {CycNum(4, (rng.randint(-3, 3), rng.randint(-3, 3))) for _ in range(rng.randint(4, 12))}
+        if len(pts) >= 3 and oracles.collinear_triples(list(pts)):
+            sets.append(make_pointset(sorted(pts, key=lambda x: x.nums), "random", {}))
+    expected = [max_points_on_line(ps) for ps in sets]
+    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    keyless = both = 0
+    for ps, want in zip(sets, expected):
+        fresh = dataclasses.replace(ps)
+        count_, members = got = max_points_on_line(fresh)
+        assert got == want
+        assert count_ == oracles.brute_max_collinear(list(ps.points))[0]
+        pts = ps.points
+        line = {k for k in range(len(pts)) if oracles.is_collinear(pts[members[0]], pts[members[1]], pts[k])}
+        assert line == set(members)
+        F, G = geometry.fingerprints([x.nums for x in pts], 4, 4)
+        for i, j in combinations(range(len(pts)), 2):
+            keyless += G[i] == G[j]
+            both += G[i] == G[j] and F[i] == F[j]
+    assert keyless > both > 0
