@@ -180,6 +180,8 @@ def _int_product(a, b, n):
 
 def _map_ints(nums, n, m, t=1):
     """Image of conductor-n int coefficients under zeta_n -> zeta_m^(t*m/n), at conductor m."""
+    if n == m and t == 1:
+        return list(nums)
     acc = [0] * phi(m)
     for c, row in zip(nums, _monomial_images(n, m, t)):
         if c:

@@ -285,6 +285,8 @@ def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
 # ---------------------------------------------------------------------------
 
 def _validate_coeff_set(coeff_set):
+    if any(isinstance(c, float) for c in coeff_set):
+        raise ValueError("coefficients must be exact rationals, not floats")
     cs = sorted({Fraction(c) for c in coeff_set})
     if not cs:
         raise ValueError("coefficient set must be nonempty")
@@ -429,16 +431,27 @@ def enumerate_target_relations(
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
     _charge(k, m, cs, phi(math.lcm(a.conductor, m)), budget)
-    return _target_relations([a], k, m, cs)[0]
+    return _relations(a, m, _target_census([a], k, m, cs)[0])
 
 
-def _target_relations(targets, k: int, m: int, cs) -> list:
-    """`enumerate_target_relations` for each of several nonzero targets.
+def _relations(target, m: int, found) -> list:
+    """The minimal RelationTuples of a census `found` over mu_m, sorted by
+    exponents; each constructor re-checks its sum and minimality."""
+    return [
+        RelationTuple(tuple(root_of_unity(e, m) for e in exps), found[exps], target, minimal=True)
+        for exps in sorted(found)
+    ]
 
-    One prefix search serves them all: the (k-1)-term prefixes do not
-    depend on the target, so each prefix closes every target by a lookup
-    of its residual.  `cs` is a validated coefficient list; nothing is
-    charged here.  Returns one relation list per target, in order.
+
+def _target_census(targets, k: int, m: int, cs) -> list:
+    """The minimal k-term representations over mu_m of each of several
+    nonzero targets, found by one prefix search.
+
+    The (k-1)-term prefixes do not depend on the target, so each prefix
+    closes every target by a lookup of its residual.  `cs` is a validated
+    coefficient list; nothing is charged here.  Returns one dict per
+    target, in order, mapping each exponent tuple to its first coefficient
+    witness; no RelationTuple is built (`_relations` builds them).
     """
     conductor = math.lcm(m, *(a.conductor for a in targets))
     terms = [(e, c) for e in range(m) for c in cs]
@@ -492,19 +505,7 @@ def _target_relations(targets, k: int, m: int, cs) -> list:
             tracker.pop()
 
     extend(0)
-
-    return [
-        [
-            RelationTuple(
-                roots=tuple(root_of_unity(e, m) for e in exps),
-                coeffs=found[exps],
-                target=a,
-                minimal=True,
-            )
-            for exps in sorted(found)
-        ]
-        for a, found in zip(targets, founds)
-    ]
+    return founds
 
 
 def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
@@ -524,8 +525,12 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     Targets are swept with e1, c1, e2 >= e1, c2 nested in that order and
     kept once each; the witness is the first target reaching the largest
     census.  The whole scan is charged against the budget once, up
-    front, and one enumeration censuses every target.  Returns (worst,
-    str of the witness target or None, number of targets).
+    front, and one enumeration censuses every target.  Each target's
+    representations are counted; RelationTuples, which re-check every
+    sum and minimality claim, are built for the witness target only.  A
+    wrong count can reach the output only by making its target the
+    witness, so that check covers the result.  Returns (worst, str of
+    the witness target or None, number of targets).
     """
     charge_target_scan(k, m, coeff_set, budget)
     if k < 1:
@@ -541,13 +546,14 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
                     if any(key) and key not in keyed:
                         keyed[key] = _from_ints(m, key, den)
     targets = list(keyed.values())
-    worst = 0
-    worst_target = None
-    for a, hits in zip(targets, _target_relations(targets, k, m, _validate_coeff_set(coeff_set))):
-        if len(hits) > worst:
-            worst = len(hits)
-            worst_target = str(a)
-    return worst, worst_target, len(targets)
+    worst, witness = 0, None
+    for a, found in zip(targets, _target_census(targets, k, m, _validate_coeff_set(coeff_set))):
+        if len(found) > worst:
+            worst, witness = len(found), (a, found)
+    if witness is None:
+        return 0, None, len(targets)
+    _relations(witness[0], m, witness[1])
+    return worst, str(witness[0]), len(targets)
 
 
 def certify_extension(t1: RelationTuple, t2: RelationTuple):

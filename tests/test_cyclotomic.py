@@ -317,6 +317,24 @@ def test_cold_descent_asks_only_for_smaller_power_tables(monkeypatch):
     assert asked and all(m < 420 for m in asked)
 
 
+@pytest.mark.parametrize("n", [4, 12, 60])
+def test_identity_map_ints_is_a_copy(monkeypatch, n):
+    rng = random.Random(n)
+    nums = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(phi(n))]
+    general = [0] * phi(n)
+    for c, row in zip(nums, cyclotomic._monomial_images(n, n, 1)):
+        for i, v in row:
+            general[i] += c * v
+
+    def refuse(*args):
+        raise AssertionError("the identity map needs no monomial images")
+
+    monkeypatch.setattr(cyclotomic, "_monomial_images", refuse)
+    same = cyclotomic._map_ints(tuple(nums), n, n)
+    assert same == nums == general
+    assert cyclotomic._map_ints(nums, n, n) is not nums
+
+
 @given(cycnum_pairs(), st.sampled_from([2, 3, 5, 7]))
 @settings(max_examples=30, deadline=None)
 def test_lifting_preserves_results(pair, mult):

@@ -674,11 +674,68 @@ def test_target_core_matches_one_call_per_target():
     ]
     coeffs = (ONE, -ONE, Fraction(2), Fraction(1, 2))
     for k in (1, 2, 3):
-        together = mann._target_relations(targets, k, 4, mann._validate_coeff_set(coeffs))
+        together = mann._target_census(targets, k, 4, mann._validate_coeff_set(coeffs))
         alone = [enumerate_target_relations(a, k, 4, coeffs) for a in targets]
-        # equal tuples: same roots, same first coefficient witnesses
-        assert together == alone
+        # same exponents in the same order, same first coefficient witnesses
+        assert [
+            [(tuple(root_of_unity(e, 4) for e in exps), found[exps]) for exps in sorted(found)]
+            for found in together
+        ] == [[(t.roots, t.coeffs) for t in hits] for hits in alone]
     assert any(together)
+
+
+def test_target_scan_builds_only_the_witness_relations(monkeypatch):
+    from cyclolab import mann
+
+    built = []
+
+    class Counting(mann.RelationTuple):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(mann, "RelationTuple", Counting)
+    half = Fraction(1, 2)
+    assert two_term_target_scan(2, 6, (1, -1, 2, -2, half, -half)) == (24, "1 + z6", 108)
+    # the witness census, each relation re-checked; all 108 censuses hold 1032
+    assert len(built) == 24
+    assert {t.target for t in built} == {CycNum.one() + root_of_unity(1, 6)}
+
+
+def test_target_scan_rechecks_the_witness_census(monkeypatch):
+    from cyclolab import mann
+
+    census = mann._target_census
+
+    def slipped(*args):
+        founds = census(*args)
+        largest = max(founds, key=len)
+        # 2 + 2 is not the witness target 1 + z6
+        assert (0, 0) not in largest
+        largest[(0, 0)] = (Fraction(2), Fraction(2))
+        return founds
+
+    monkeypatch.setattr(mann, "_target_census", slipped)
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="weighted sum does not equal the target"):
+        two_term_target_scan(2, 6, (1, -1, 2, -2, half, -half))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cs: enumerate_target_relations(2, 2, 6, cs),
+        lambda cs: enumerate_minimal_vanishing_sums(2, 6, cs),
+        lambda cs: two_term_target_scan(2, 6, cs),
+        lambda cs: RelationTuple(roots=(CycNum.one(),) * 2, coeffs=cs, target=Fraction(11, 10)),
+    ],
+    ids=["enumerate_target_relations", "enumerate_minimal_vanishing_sums", "two_term_target_scan",
+         "RelationTuple"],
+)
+@pytest.mark.parametrize("floats", [(1, 0.1), (1, 0.5), (0.5, -0.5)])
+def test_float_coefficients_rejected_everywhere(call, floats):
+    with pytest.raises(ValueError, match="^coefficients must be exact rationals, not floats$"):
+        call(floats)
 
 
 def test_target_scan_builds_one_tracker(monkeypatch):
