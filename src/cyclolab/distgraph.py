@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from operator import sub
 from typing import Optional
 
@@ -42,7 +42,6 @@ class DistanceGraph:
     edges: dict
     adjacency: tuple
     _sq: dict = field(default_factory=dict, repr=False, compare=False)
-    _evec: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -79,23 +78,17 @@ class DistanceGraph:
             self._sq[key] = out
         return out
 
-    def edge_vector(self, a: int, b: int) -> int:
-        """Packed int of points[b] - points[a] along an edge (see pack_vectors).
+    @cached_property
+    def _packs(self) -> list:
+        """Packed int of each point, with depth 2n (see pack_vectors).
 
-        All edges are packed once per graph with depth n: a census stack
-        is an irredundant path, so its vertices are distinct, it has at
-        most n - 1 edges, and every tested sum has at most n terms.
+        P is additive, so points[b] - points[a] packs to _packs[b] - _packs[a].
+        A census stack is an irredundant path, so its vertices are distinct
+        and it holds at most n - 1 edges; a tested sum adds one candidate
+        edge, so it has at most n edges, 2n signed point terms.  Every
+        coordinate then stays within (B - 1) / 2 and zero tests stay exact.
         """
-        if self._evec is None:
-            vecs = geometry.common_scale(self.pointset.points)
-            packed = pack_vectors(
-                ([y - x for x, y in zip(vecs[i], vecs[j])] for i, j in self.edges), self.n
-            )
-            self._evec = {}
-            for (i, j), p in zip(self.edges, packed):
-                self._evec[i, j] = p
-                self._evec[j, i] = -p
-        return self._evec[(a, b)]
+        return pack_vectors(geometry.common_scale(self.pointset.points), 2 * self.n)
 
 
 def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
@@ -285,11 +278,13 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
     records = []
     tracker = SubsetSumTracker()
     path = [source]
+    packs = g._packs
 
     def rec(cur, depth):
         last = depth == k - 1
+        here = packs[cur]
         for u in g.adjacency[cur]:
-            d = g.edge_vector(cur, u)
+            d = packs[u] - here
             if tracker.conflicts(d):
                 continue
             if shortest_only and not _admissible_shortest(g, cur, u, path, vertex_scope):

@@ -295,10 +295,14 @@ def _validate_coeff_set(coeff_set):
     return cs
 
 
-def _charge(k, m, cs, width, budget, targets=1):
-    """Charge `targets` censuses, each of m * |cs| term vectors of `width`
-    coefficients and (m * |cs|)^k candidate tuples, before any work."""
-    estimate = targets * ((m * len(cs)) ** k + m * len(cs) * width)
+def _charge(k, m, cs, conductor, budget, targets=1):
+    """Charge `targets` censuses, each of m * |cs| term vectors of
+    phi(conductor) ints and (m * |cs|)^k candidate tuples, before any work;
+    above WORK_BUDGET a charge the tuples alone exceed is raised before
+    phi factors the conductor by trial division."""
+    estimate = targets * (m * len(cs)) ** k
+    if conductor <= WORK_BUDGET or estimate <= budget:
+        estimate += targets * m * len(cs) * phi(conductor)
     if estimate > budget:
         raise WorkBudgetExceeded(estimate, budget)
 
@@ -331,7 +335,7 @@ def enumerate_minimal_vanishing_sums(
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
-    _charge(k, m, cs, phi(m), budget)
+    _charge(k, m, cs, m, budget)
 
     pairs = [(e, c) for e in range(m) for c in cs]
     scaled, _ = _to_int_scaled(cs)
@@ -430,7 +434,7 @@ def enumerate_target_relations(
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
-    _charge(k, m, cs, phi(math.lcm(a.conductor, m)), budget)
+    _charge(k, m, cs, math.lcm(a.conductor, m), budget)
     return _relations(a, m, _target_census([a], k, m, cs)[0])
 
 
@@ -516,7 +520,7 @@ def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
-    _charge(k, m, cs, phi(m), budget, m * (m + 1) // 2 * len(cs) ** 2)
+    _charge(k, m, cs, m, budget, m * (m + 1) // 2 * len(cs) ** 2)
 
 
 def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):

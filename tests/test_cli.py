@@ -505,6 +505,20 @@ def test_mann_budget_error_keeps_its_advice(capsys):
     )
 
 
+@pytest.mark.parametrize("extra", [[], ["--target-scan"]])
+def test_mann_budget_refuses_huge_modulus_without_factoring(monkeypatch, capsys, extra):
+    factors = cyclotomic._prime_factors
+
+    def small_only(n):
+        if n > 10 ** 8:
+            raise AssertionError(f"factored {n}")
+        return factors(n)
+
+    monkeypatch.setattr(cyclotomic, "_prime_factors", small_only)
+    assert run(["mann", "--k", 2, "--modulus", 100000000000031, *extra]) == 2
+    assert "exceeds budget 100000000" in capsys.readouterr().err
+
+
 def test_report_roundtrip_fields(tmp_path):
     from cyclolab import analyze, erdos_purdy
 

@@ -15,6 +15,7 @@ from cyclolab import (
     analyze,
     build_graph,
     count_irredundant_paths,
+    distgraph,
     erdos_purdy,
     geometry,
     irredundant_path_census,
@@ -304,6 +305,13 @@ def test_path_validation():
         irredundant_path_census(g, 5, 2)
 
 
+def far_grid():
+    """3x3 grid of spacing 1/2 shifted to 1000/7 + (999/11)i: the point
+    coordinates dwarf the edge coordinates."""
+    shift = Fraction(1000, 7) + Fraction(999, 11) * root_of_unity(1, 4)
+    return make_pointset([p + shift for p in square_grid(3, 3, Fraction(1, 2)).points], "far_grid", {})
+
+
 @pytest.mark.parametrize(
     "make,mode",
     [
@@ -311,6 +319,8 @@ def test_path_validation():
         (lambda: erdos_purdy(3), "unit"),
         (lambda: erdos_purdy(3), "rational"),
         (lambda: square_grid(3, 3), "rational"),
+        (far_grid, "rational"),
+        (lambda: parallel_lines(3, 3, seed=5), "rational"),
     ],
 )
 def test_census_matches_brute_walks(make, mode):
@@ -324,6 +334,21 @@ def test_census_matches_brute_walks(make, mode):
             pairs += row
             totals.append(sum(row))
         assert path_stats(g, k) == (max(pairs), min(pairs), totals), (mode, k)
+
+
+def test_path_stats_packs_once_per_graph(monkeypatch):
+    pack = distgraph.pack_vectors
+    calls = []
+
+    def counting(vectors, depth):
+        vectors = list(vectors)
+        calls.append(len(vectors))
+        return pack(vectors, depth)
+
+    monkeypatch.setattr(distgraph, "pack_vectors", counting)
+    g = build_graph(erdos_purdy(3), "unit")
+    path_stats(g, 3)
+    assert calls == [g.n]
 
 
 def test_census_count_consistency():
