@@ -96,20 +96,37 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
 
     In "rational" mode an edge needs a rational length and a rational
     angle; "unit" mode further requires length exactly 1.
+
+    Pairs are screened first by the residue pairs (F, G, p) =
+    `ps.collinear.residues` of the points scaled by their common
+    denominator den.  For points i < j let f = F_j - F_i and g = G_j - G_i,
+    the residues of v = den (x_j - x_i) and of conj(v) under zeta_N -> omega.
+    If v = q zeta_M^e (M = lcm(2, N)), then v = zeta_M^(2e) conj(v), and
+    zeta_M^(2e) is an h-th root of unity, h = M / 2; so f^h != g^h (mod p)
+    proves the pair has no rational angle.  In unit mode v conj(v) = den^2,
+    so f g != den^2 (mod p) proves |x_j - x_i| != 1.  Each rejection is a
+    proof, and every pair that passes is classified exactly.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = len(ps)
     vecs = geometry.common_scale(ps.points)
     den = math.lcm(*(p.den for p in ps.points))
+    F, G, p = ps.collinear.residues
+    h = math.lcm(2, ps.conductor) // 2
+    unit = mode == "unit"
     edges = {}
     adj = [[] for _ in range(n)]
     for i in range(n):
+        fi, gi = F[i], G[i]
         for j in range(i + 1, n):
+            f, g = F[j] - fi, G[j] - gi
+            if unit and (f * g - den * den) % p or pow(f, h, p) != pow(g, h, p):
+                continue
             form = classify_rational_angle(_from_ints(ps.conductor, tuple(map(sub, vecs[j], vecs[i])), den))
             if form is None:
                 continue
-            if mode == "unit" and form.length != 1:
+            if unit and form.length != 1:
                 continue
             edges[(i, j)] = form
             adj[i].append(j)

@@ -13,8 +13,10 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul
 
-from .cyclotomic import CycNum, _root_turn, phi, root_of_unity
+from .cyclotomic import CycNum, _from_ints, _root_turn, phi, root_of_unity
 from .distgraph import MODES, AnalysisReport
 from .errors import WorkBudgetExceeded
 from .mann import WORK_BUDGET, RelationTuple
@@ -23,16 +25,39 @@ from .pointsets import PointSet
 FORMAT_VERSION = 1
 
 
-def str_to_fraction(s) -> Fraction:
+def _parse_rational(s) -> tuple:
+    """(num, den) of a rational string in lowest-terms form, "3" or "-1/2",
+    with den 1 for an integer: the strings `str(Fraction)` writes, no other."""
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
+    head, slash, tail = s.partition("/")
     try:
-        f = Fraction(s)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad rational {s!r}: {exc}")
-    if str(f) != s:
-        raise ValueError(f"rational {s!r} is not in lowest-terms form {str(f)!r}")
-    return f
+        num, den = int(head), int(tail) if slash else 1
+        # int() also takes signs, spaces, "_" and non-ASCII digits; str() does not give them back
+        digits = str(num) == head and str(den) == (tail if slash else "1") and den >= 1
+    except ValueError:  # not an int, or more digits than int() converts
+        digits = False
+    if not digits:
+        raise ValueError(f"bad rational {_clip(s)!r}: expected lowest-terms form such as '3' or '-1/2'")
+    if math.gcd(num, den) != 1 or (slash and den == 1):
+        raise ValueError(f"rational {_clip(s)!r} is not in lowest-terms form {_clip(str(Fraction(num, den)))!r}")
+    return num, den
+
+
+def _clip(s: str) -> str:
+    return s if len(s) <= 40 else s[:40] + "..."
+
+
+def str_to_fraction(s) -> Fraction:
+    return Fraction(*_parse_rational(s))
+
+
+def _strs_to_cycnum(n: int, strs: list) -> CycNum:
+    """The element of conductor n whose phi(n) coordinates are the rational
+    strings strs, scaled to the lcm of their denominators."""
+    nums, dens = zip(*map(_parse_rational, strs))
+    den = math.lcm(*dens)
+    return _from_ints(n, list(map(mul, nums, map(floordiv, repeat(den), dens))), den)
 
 
 def _is_int(x) -> bool:
@@ -58,7 +83,7 @@ def obj_to_cycnum(d) -> CycNum:
     # phi(n) >= sqrt(n / 2), so the coefficient count bounds the conductor
     if n > 2 * len(coeffs) ** 2 or len(coeffs) != phi(n):
         raise ValueError(f"a field element of conductor {n} needs phi({n}) coefficients")
-    return CycNum(n, tuple(str_to_fraction(c) for c in coeffs))
+    return _strs_to_cycnum(n, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +130,7 @@ def obj_to_pointset(d) -> PointSet:
         raise ValueError(f"conductor {conductor} needs more than {len(rows[0])} coefficients a point")
     if any(len(row) != phi(conductor) for row in rows):
         raise ValueError(f"every point needs phi({conductor}) = {phi(conductor)} coefficients")
-    points = tuple(
-        CycNum(conductor, tuple(str_to_fraction(c) for c in row)) for row in rows
-    )
+    points = tuple(_strs_to_cycnum(conductor, row) for row in rows)
     return PointSet(
         conductor=conductor,
         points=points,
@@ -314,10 +337,17 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _json_int(text):
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"integer of {len(text)} digits is too long") from None
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, parse_int=_json_int)
         except RecursionError:
             raise ValueError("document is nested too deeply") from None
     if not isinstance(doc, dict):

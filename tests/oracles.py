@@ -470,3 +470,34 @@ def brute_path_census(g, source: int, k: int) -> dict:
         if ok:
             counts[walk[-1]] = counts.get(walk[-1], 0) + 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# file reading oracle
+# ---------------------------------------------------------------------------
+
+def fraction_rational(s):
+    """s as a Fraction when s is a string that Fraction reads and str()
+    writes back unchanged, else None."""
+    if not isinstance(s, str):
+        return None
+    try:
+        f = Fraction(s)
+        return f if str(f) == s else None
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def fraction_points(conductor: int, rows):
+    """The points of a point-set document's rows, each coordinate read by
+    `fraction_rational` and each row by the public CycNum constructor;
+    None when a row has the wrong length or a coordinate is refused."""
+    points = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != sympy.totient(conductor):
+            return None
+        coeffs = [fraction_rational(c) for c in row]
+        if None in coeffs:
+            return None
+        points.append(CycNum(conductor, coeffs))
+    return points

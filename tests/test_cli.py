@@ -1,14 +1,22 @@
 """Command line behaviour plus serialization round trips."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclolab import cyclotomic, distgraph, erdos_purdy, geometry, mann, pointsets, serialize
 from cyclolab.cli import main
 from cyclolab.errors import WorkBudgetExceeded
+
+import oracles
 
 
 def run(args):
@@ -573,10 +581,13 @@ _HAND_POINTSET = {
         {"conductor": 30030, "points": [["0"]]},
         {"conductor": 10 ** 18 + 9, "points": [["0"]]},
         {"points": [["0", "0"], ["1/0", "0"], ["0", "1"]]},
+        {"points": [["0", "0"], ["RAW:1e400", "0"], ["0", "1"]]},
+        {"points": [["0", "0"], ["RAW:-1e400", "0"], ["0", "1"]]},
     ],
     ids=[
         "points-int", "params-list", "row-length", "conductor-bool", "decimal",
         "seed-str", "name-int", "conductor-30030", "conductor-huge", "coord-div0",
+        "coord-overflow", "coord-neg-overflow",
     ],
 )
 def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, monkeypatch, change):
@@ -591,11 +602,115 @@ def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, monkeypatch, chang
 
     monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", small_only)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(_HAND_POINTSET, **change)), encoding="utf-8")
+    bad.write_text(_raw_json(dict(_HAND_POINTSET, **change)), encoding="utf-8")
     assert run(["analyze", "--in", bad, "--k", 1]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _raw_json(obj) -> str:
+    """json.dumps(obj) with each string "RAW:text" written as the bare
+    literal text, for numbers such as 1e400 that load as no finite float."""
+    return re.sub(r'"RAW:([^"]*)"', r"\1", json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "coord, reduced", [("2/4", "1/2"), ("-2/4", "-1/2"), ("3/1", "3"), ("0/5", "0")]
+)
+def test_non_lowest_terms_rational_names_its_reduced_form(tmp_path, capsys, coord, reduced):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(_HAND_POINTSET, points=[["0", "0"], [coord, "0"], ["0", "1"]])), encoding="utf-8")
+    assert run(["analyze", "--in", bad]) == 2
+    assert f"rational {coord!r} is not in lowest-terms form {reduced!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, text",
+    [
+        ({"points": [["0", "0"], ["1/" + "7" * 5000, "0"], ["0", "1"]]}, None),
+        ({"points": [["0", "0"], ["7" * 5000, "0"], ["0", "1"]]}, None),
+        ({"conductor": "X"}, "1" * 5000),
+    ],
+    ids=["denominator", "numerator", "json-int"],
+)
+def test_digit_limit_error_gives_no_interpreter_advice(tmp_path, capsys, change, text):
+    # int() refuses over 4300 digits with advice to raise the limit, which
+    # the user of a file cannot take
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(_HAND_POINTSET, **change)).replace('"X"', str(text)), encoding="utf-8")
+    assert run(["analyze", "--in", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "set_int_max_str_digits" not in err
+
+
+@given(st.one_of(st.text(alphabet="0123456789-+/ ._e\u0661\uff12", max_size=6), st.fractions().map(str)))
+@settings(max_examples=400, deadline=None)
+def test_rational_strings_read_as_fraction_reads_them(s):
+    expected = oracles.fraction_rational(s)
+    if expected is None:
+        with pytest.raises(ValueError):
+            serialize.str_to_fraction(s)
+    else:
+        assert serialize.str_to_fraction(s) == expected
+
+
+_BASE_ROWS = [["0", "0", "0", "0"], ["1", "0", "0", "0"], ["1/2", "-3", "0", "7/5"], ["-2", "1/3", "0", "1"]]
+
+_ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_COORD_MUTATIONS = {
+    "sign": lambda s: "-" + s,
+    "unsign": lambda s: s.lstrip("-"),
+    "zero": lambda s: "0" + s,
+    "plus": lambda s: "+" + s,
+    "space": lambda s: s + " ",
+    "over-1": lambda s: s + "/1",
+    "double": lambda s: "/".join(str(2 * int(x)) for x in (s.split("/") + ["1"])[:2]),
+    "minus-zero": lambda s: "-0",
+    "arabic": lambda s: s.translate(_ARABIC_INDIC_DIGITS),
+    "decimal": lambda s: s + ".0",
+    "underscore": lambda s: s[:1] + "_" + s[1:],
+    "float": lambda s: 1.0,
+    "overflow": lambda s: "RAW:1e400",
+    "nested": lambda s: [s],
+}
+_ROW_MUTATIONS = {"append": lambda row: row + ["0"], "drop": lambda row: row[:-1]}
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 3), st.sampled_from(sorted(_COORD_MUTATIONS) + sorted(_ROW_MUTATIONS))
+        ),
+        max_size=3,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_pointset_exits_2_or_loads_as_fraction_reads_it(edits):
+    rows = [list(row) for row in _BASE_ROWS]
+    for r, c, name in edits:
+        if name in _ROW_MUTATIONS:
+            rows[r] = _ROW_MUTATIONS[name](rows[r])
+        elif c < len(rows[r]) and isinstance(rows[r][c], str):
+            try:
+                rows[r][c] = _COORD_MUTATIONS[name](rows[r][c])
+            except ValueError:  # "double" of an entry that is no longer an int string
+                pass
+    expected = oracles.fraction_points(12, rows)
+    if expected is not None and len(set(expected)) < len(expected):
+        expected = None  # repeated points are refused too
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ps.json"
+        path.write_text(_raw_json(dict(_HAND_POINTSET, conductor=12, points=rows)), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(["analyze", "--in", path, "--k", 1])
+        if expected is None:
+            assert rc == 2 and err.getvalue().startswith("error:"), rows
+        else:
+            assert rc in (0, 1), rows
+            got = serialize.load_pointset(path).points
+            assert [(p.nums, p.den) for p in got] == [(p.nums, p.den) for p in expected]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Distance graphs: classification, peeling, lines, paths, analysis."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from cyclolab import (
     RationalAngleForm,
     analyze,
     build_graph,
+    classify_rational_angle,
     count_irredundant_paths,
     distgraph,
     erdos_purdy,
@@ -33,6 +35,7 @@ from cyclolab import (
 )
 
 import oracles
+from test_pointsets import _small_residue_field
 
 
 def triangle():
@@ -93,6 +96,84 @@ def test_edge_form_orientation():
     assert fwd.length == rev.length == 1
     assert (fwd.exponent + rev.exponent) % fwd.modulus == fwd.modulus // 2
     assert rev.value() == -fwd.value()
+
+
+def _random_unit_sums(seed):
+    """Eight sums of up to three 12th roots of unity: many pairs differ by a root."""
+    rng = random.Random(seed)
+    roots = [root_of_unity(e, 12) for e in range(12)]
+    pts = set()
+    while len(pts) < 8:
+        pts.add(sum(rng.sample(roots, rng.randint(0, 3)), CycNum.zero()))
+    return make_pointset(sorted(pts, key=lambda x: x.nums), "sums", {"seed": seed})
+
+
+def _counting_classify(monkeypatch):
+    calls = []
+    real = distgraph.classify_rational_angle
+    monkeypatch.setattr(distgraph, "classify_rational_angle", lambda w: calls.append(w) or real(w))
+    return calls
+
+
+def _graph_forms(g):
+    return {pair: form.astuple() for pair, form in g.edges.items()}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _random_unit_sums(1),
+        lambda: _random_unit_sums(2),
+        lambda: _random_unit_sums(3),
+        lambda: square_grid(3, 6, Fraction(1, 3)),
+        lambda: erdos_purdy(4),
+    ],
+    ids=["sums-1", "sums-2", "sums-3", "grid-3x6-thirds", "ep4"],
+)
+def test_residue_screen_matches_brute_classify_over_a_tiny_prime(monkeypatch, make):
+    # over the tiny prime many pairs pass the screen without being edges,
+    # and each of them is decided by the exact classification
+    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    calls = _counting_classify(monkeypatch)
+    ps = make()
+    pts = ps.points
+    brute = {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        form = oracles.brute_classify(pts[j] - pts[i])
+        if form is not None:
+            brute[(i, j)] = form
+    for mode in distgraph.MODES:
+        g = build_graph(ps, mode)
+        assert _graph_forms(g) == {
+            pair: form for pair, form in brute.items() if mode == "rational" or form[0] == 1
+        }, mode
+    assert len(calls) > len(brute) + sum(form[0] == 1 for form in brute.values())
+
+
+def test_residue_screen_matches_exact_classification_on_ep5(monkeypatch):
+    # brute_classify divides by 420 roots per pair, too slow for 496 pairs at
+    # conductor 420; the exact kernel, checked against it elsewhere, decides here
+    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    ps = erdos_purdy(5)
+    pts = ps.points
+    forms = {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        form = classify_rational_angle(pts[j] - pts[i])
+        if form is not None:
+            forms[(i, j)] = form.astuple()
+    assert _graph_forms(build_graph(ps, "rational")) == forms
+    assert _graph_forms(build_graph(ps, "unit")) == {k: v for k, v in forms.items() if v[0] == 1}
+
+
+def test_residue_screen_leaves_few_exact_classifications(monkeypatch):
+    # 2016 pairs: the unit screen admits exactly the 208 edges
+    calls = _counting_classify(monkeypatch)
+    ps = erdos_purdy(6)
+    assert build_graph(ps, "unit").edge_count == 208
+    assert len(calls) == 208
+    calls.clear()
+    build_graph(ps, "rational")
+    assert len(calls) <= 560
 
 
 def test_degrees_and_adjacency():
@@ -334,6 +415,18 @@ def test_census_matches_brute_walks(make, mode):
             pairs += row
             totals.append(sum(row))
         assert path_stats(g, k) == (max(pairs), min(pairs), totals), (mode, k)
+
+
+def test_census_packs_deep_enough_for_three_edge_sums():
+    # at k = 5 the census tests the edge sum 4 - i + 1 = 5 - i of the path
+    # -2+2i, 2+2i, 2i, i, 0, 1.  It is a sum of six point terms, each
+    # coordinate at most M = 2, so packing with depth 1 (base 2M + 1 = 5)
+    # would read it as 5 - 5 = 0 and drop the path.
+    pts = [CycNum(4, xy) for xy in ((-2, 2), (2, 2), (0, 2), (0, 1), (0, 0), (1, 0))]
+    g = build_graph(make_pointset(pts, "five_minus_i", {}), "rational")
+    census = irredundant_path_census(g, 0, 5)
+    assert census == oracles.brute_path_census(g, 0, 5)
+    assert census[5] == 1
 
 
 def test_path_stats_packs_once_per_graph(monkeypatch):
