@@ -8,10 +8,12 @@ arithmetic runs on those ints; `Fraction`s appear only at the boundary
 (the public constructor and the `coeffs` view).  Equality and the zero
 test are exact because the representation is canonical.  Hashing and
 `min_conductor` descend to the smallest conductor one prime at a time,
-reading the coordinates over each subfield from the table of powers of
-zeta, so one exact pass decides each prime.  Floating point
-enters only through `approx_complex` and the interval fallback of
-`real_sign`.
+reading the coordinates over each subfield from rows of powers of zeta,
+so one exact pass decides each prime.  Since Phi_N(x) = Phi_r(x^(N/r))
+with r the product of the primes dividing N, every power of zeta_N is a
+row of the table of zeta_r spread out (`_power_row`), and no table is
+built at a conductor that is not squarefree.  Floating point enters
+only through `approx_complex` and the interval fallback of `real_sign`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 import mpmath
@@ -159,18 +162,39 @@ def _power_table(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _radical_split(m: int) -> tuple:
+    """(r, s) with r the product of the primes dividing m and s = m / r."""
+    r = math.prod(_prime_factors(m))
+    return r, m // r
+
+
+@lru_cache(maxsize=None)
+def _power_row(m: int, e: int) -> tuple:
+    """x^e mod Phi_m as (index, int) pairs over its nonzero entries.
+
+    With (r, s) = `_radical_split(m)`, Phi_m(x) = Phi_r(x^s).  For
+    e = q s + t (e taken mod m, 0 <= t < s), x^e = x^t (x^s)^q, and
+    (x^s)^q mod Phi_r(x^s) is row q of `_power_table(r)` read in powers of
+    x^s, of degree at most s (phi(r) - 1).  Times x^t it stays below
+    deg Phi_m = s phi(r), so entry i of row q goes to index s i + t as is.
+    Rows are cached; callers pass e reduced mod m, so each row is kept once.
+    """
+    r, s = _radical_split(m)
+    q, t = divmod(e % m, s)
+    row = _power_table(r)[q]
+    return tuple(filter(itemgetter(1), zip(range(t, s * len(row), s), row)))
+
+
+@lru_cache(maxsize=None)
 def _monomial_images(n: int, m: int, t: int) -> tuple:
     """Images of the power basis of Q(zeta_n) under zeta_n -> zeta_m^(t*m/n).
 
-    Needs n | m.  Row j holds the (index, int) pairs of the image of
-    zeta_n^j, reduced mod Phi_m.  With t = 1 this is the lift into
+    Needs n | m.  Row j is `_power_row(m, j * t * m/n)`, the image of
+    zeta_n^j reduced mod Phi_m.  With t = 1 this is the lift into
     Q(zeta_m); with m = n it is the Galois map zeta -> zeta^t.
     """
-    powers = _power_table(m)
-    step = t * (m // n) % m
-    return tuple(
-        tuple((i, v) for i, v in enumerate(powers[j * step % m]) if v) for j in range(phi(n))
-    )
+    step = t * (m // n)
+    return tuple(_power_row(m, j * step % m) for j in range(phi(n)))
 
 
 def _int_product(a, b, n):
@@ -462,7 +486,7 @@ def _descend_to_minimal(n, nums, den):
     Q(zeta_m), with basis 1, zeta_p, ..., zeta_p^(p-2).  With u = p^-1
     mod m and v = m^-1 mod p, zeta_n^k = zeta_m^(ku) * zeta_p^(kv), so
     x = sum over j < p of A_j zeta_p^(jv), where A_j in Q(zeta_m) adds
-    c_k times row ku mod m of `_power_table(m)` over k = j mod p.  Write
+    c_k times `_power_row(m, ku)` over k = j mod p.  Write
     B_r for the A_j with jv = r mod p.  As zeta_p^(p-1) = -(1 + ... +
     zeta_p^(p-2)), x = sum over r < p - 1 of (B_r - B_(p-1)) zeta_p^r,
     and jv runs over the nonzero residues as j does, so x lies in
@@ -476,14 +500,12 @@ def _descend_to_minimal(n, nums, den):
             image = nums[::p]
         else:
             u = pow(p, -1, m)
-            table = _power_table(m)
             parts = [[0] * phi(m) for _ in range(p)]
             for k, c in enumerate(nums):
                 if c:
                     acc = parts[k % p]
-                    for i, t in enumerate(table[k * u % m]):
-                        if t:
-                            acc[i] += c * t
+                    for i, t in _power_row(m, k * u % m):
+                        acc[i] += c * t
             if any(a != parts[1] for a in parts[2:]):
                 continue
             image = [a - b for a, b in zip(parts[0], parts[1])]
@@ -520,10 +542,10 @@ def root_of_unity(e: int, n: int) -> CycNum:
     """zeta_n^e as an element of Q(zeta_n)."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    e %= n
-    vec = [0] * (e + 1)
-    vec[e] = 1
-    return _from_ints(n, _reduce_vec(vec, n), 1)
+    vec = [0] * phi(n)
+    for i, v in _power_row(n, e % n):
+        vec[i] = v
+    return _from_ints(n, vec, 1)
 
 
 @lru_cache(maxsize=None)
@@ -570,6 +592,16 @@ class RationalAngleForm:
         return f"RationalAngleForm({self.length}, {self.exponent}, {self.modulus})"
 
 
+def _angle_form(length: Fraction, exponent: int, modulus: int) -> RationalAngleForm:
+    """RationalAngleForm(length, exponent, modulus) for a positive Fraction
+    length and 0 <= exponent < modulus, which are not checked again."""
+    form = object.__new__(RationalAngleForm)
+    object.__setattr__(form, "length", length)
+    object.__setattr__(form, "exponent", exponent)
+    object.__setattr__(form, "modulus", modulus)
+    return form
+
+
 def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     """Decide whether w = q * zeta_M^e with q a positive rational.
 
@@ -577,10 +609,15 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     M-th root of unity, so the decision is complete.  It is one lookup:
     w lifted to M, as an int vector divided by the gcd of its entries and
     by the sign of its first nonzero entry, is w's primitive form, and
-    w = q * zeta_M^e exactly when that form is a row of `_roots_index(M)`
+    w = q * zeta_M^e exactly when that form is the row of zeta_M^e
     (power-table rows are primitive, since a root of unity divided by an
-    integer g > 1 is not an algebraic integer).  Returns None when w has
-    an irrational length or a non-rational angle; raises on zero input.
+    integer g > 1 is not an algebraic integer).  With (r, s) =
+    `_radical_split(M)` and e = q s + t, that row is row q of the table
+    of r at the indices = t (mod s) (`_power_row`), so the form is a row
+    exactly when its nonzero entries all sit at indices = t for one t and
+    its stride-s slice from t is a row of `_roots_index(r)`.  Returns None
+    when w has an irrational length or a non-rational angle; raises on
+    zero input.
     """
     w = CycNum._coerce(w)
     if w is None:
@@ -589,15 +626,26 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
         raise ValueError("zero input has no direction")
     n, m = w.conductor, math.lcm(2, w.conductor)
     ints = w.nums if m == n else _map_ints(w.nums, n, m)
+    r, s = _radical_split(m)
+    t = 0
+    if s > 1:
+        for t in range(s):
+            row = ints[t::s]
+            if any(row):
+                break
+        if len(ints) - ints.count(0) != len(row) - row.count(0):
+            return None
+        ints = row
     g = math.gcd(*ints)
     if next(filter(None, ints)) < 0:
         g = -g
-    e = _roots_index(m).get(tuple(ints) if g == 1 else tuple(c // g for c in ints))
+    e = _roots_index(r).get(tuple(ints) if g == 1 else tuple(c // g for c in ints))
     if e is None:
         return None
+    e = e * s + t
     if g < 0:
         e = (e + m // 2) % m
-    return RationalAngleForm(Fraction(abs(g), w.den), e, m)
+    return _angle_form(Fraction(abs(g), w.den), e, m)
 
 
 def _root_turn(r) -> Optional[Fraction]:

@@ -142,15 +142,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_SMALL_PRIMES = math.prod((
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
+))  # the primes below 200
+
+
 @lru_cache(maxsize=None)
 def residue_field(n: int) -> tuple:
     """(p, omega): the first prime p = 1 (mod n) above 2^61, and omega of
-    order exactly n mod p, so that zeta_n -> omega maps Z[zeta_n] onto Z/p."""
+    order exactly n mod p, so that zeta_n -> omega maps Z[zeta_n] onto Z/p.
+
+    omega = g^((p-1)/n) for the first g = 2, 3, ... that gives order n.  A
+    candidate p with a prime factor below 200 is dropped by one gcd before
+    Miller-Rabin, and g^((p-1)/n) for a composite g is the product of the
+    powers already taken at its least prime factor f and at g / f.
+    """
     p = (2**61 // n + 1) * n + 1
-    while not _is_prime(p):
+    while math.gcd(p, _SMALL_PRIMES) != 1 or not _is_prime(p):
         p += n
+    powers = {}
     for g in range(2, p):
-        omega = pow(g, (p - 1) // n, p)
+        f = _prime_factors(g)[0]
+        omega = powers[g] = pow(g, (p - 1) // n, p) if f == g else powers[f] * powers[g // f] % p
         if all(pow(omega, n // q, p) != 1 for q in _prime_factors(n)):
             break
     assert _horner(cyclotomic_polynomial(n), omega, p) == 0, f"omega is no root of Phi_{n} mod {p}"

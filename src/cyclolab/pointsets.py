@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import add
 from . import geometry
 from .cyclotomic import CycNum, _from_ints, _map_ints, change_conductor, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
@@ -101,6 +102,14 @@ def _root_candidates():
                 yield root_of_unity(e, m)
 
 
+def _union_prints(prints, a, big):
+    """The fingerprints at conductor big of P + (P + a), from `prints`, the
+    `geometry.fingerprints` of P into big."""
+    p = geometry.residue_field(big)[0]
+    (fa,), (ga,) = geometry.fingerprints([a.nums], a.conductor, big)
+    return [prints[0] + [(f + fa) % p for f in prints[0]], prints[1] + [(g + ga) % p for g in prints[1]]]
+
+
 def _translate_union(vecs, n, a, big, prints):
     """The int vectors at conductor big of P + (P + a), or None if that union
     has a collinear triple; P is `vecs` at conductor n, with no collinear
@@ -112,9 +121,7 @@ def _translate_union(vecs, n, a, big, prints):
     """
     p = geometry.residue_field(big)[0]
     m = len(vecs)
-    (fa,), (ga,) = geometry.fingerprints([a.nums], a.conductor, big)
-    F = prints[0] + [(f + fa) % p for f in prints[0]]
-    G = prints[1] + [(g + ga) % p for g in prints[1]]
+    F, G = _union_prints(prints, a, big)
     lifted = {}
 
     def point(k):
@@ -135,6 +142,28 @@ def _translate_union(vecs, n, a, big, prints):
     return [point(k) for k in range(2 * m)]
 
 
+def _difference_test(vecs, n, prints):
+    """The test of whether x + a is in `vecs` for some x in it, on int vectors
+    a_nums at conductor n, like the vecs.  With `prints` the fingerprints
+    of vecs at n, only an x with F_x + f_a among the F residues can pass,
+    since x + a = y forces equal residues, and each such x is confirmed
+    exactly; with no prints every x is tried exactly."""
+    have = set(map(tuple, vecs))
+    if prints is None:
+        return lambda a_nums: any(tuple(map(add, x, a_nums)) in have for x in vecs)
+    p, omega = geometry.residue_field(n)
+    F = prints[0]
+    residues = set(F)
+
+    def test(a_nums):
+        fa = sum(c * pow(omega, i, p) for i, c in enumerate(a_nums) if c)
+        return any(
+            tuple(map(add, vecs[k], a_nums)) in have for k, f in enumerate(F) if (f + fa) % p in residues
+        )
+
+    return test
+
+
 def erdos_purdy(levels: int) -> PointSet:
     """Translation doubling starting from {0, 1}.
 
@@ -152,23 +181,22 @@ def erdos_purdy(levels: int) -> PointSet:
 
     conductor = 1
     vecs = [(0,), (1,)]
+    prints = {}  # residues of vecs, one pair of lists per target conductor
 
     for _ in range(levels - 1):
-        have = set(map(tuple, vecs))
-        prints = {}  # residues of vecs, one pair of lists per target conductor
+        # the union's fingerprints at its conductor screen the next level
+        is_difference = _difference_test(vecs, conductor, prints.get(conductor))
         for a in _root_candidates():
             # a = q - p for points p, q iff p + a is a point; a root
             # outside Q(zeta_conductor) is no difference of points
-            if conductor % a.min_conductor() == 0:
-                a_nums = change_conductor(a, conductor).nums
-                if any(tuple(x + y for x, y in zip(p, a_nums)) in have for p in vecs):
-                    continue
+            if conductor % a.min_conductor() == 0 and is_difference(change_conductor(a, conductor).nums):
+                continue
             big = math.lcm(conductor, a.conductor)
             if big not in prints:
                 prints[big] = geometry.fingerprints(vecs, conductor, big)
             union = _translate_union(vecs, conductor, a, big, prints[big])
             if union is not None:
-                vecs, conductor = union, big
+                vecs, conductor, prints = union, big, {big: _union_prints(prints[big], a, big)}
                 break
         else:  # pragma: no cover - the candidate stream is infinite
             raise AssertionError("no usable root of unity found")

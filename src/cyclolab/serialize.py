@@ -14,6 +14,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from operator import floordiv, mul
 
 from .cyclotomic import CycNum, _from_ints, _root_turn, phi, root_of_unity
@@ -66,6 +67,8 @@ def _is_int(x) -> bool:
 
 def _coord_strs(x: CycNum) -> list:
     """x's coordinates as lowest-terms rational strings, read off nums / den."""
+    if x.den == 1:
+        return list(map(str, x.nums))
     gs = [math.gcd(c, x.den) for c in x.nums]
     return [str(c // g) if g == x.den else f"{c // g}/{x.den // g}" for c, g in zip(x.nums, gs)]
 
@@ -325,7 +328,27 @@ def report_csv_text(reports) -> str:
 # ---------------------------------------------------------------------------
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, for
+    documents whose object keys are strings."""
+    return _json_text(doc, "\n") + "\n"
+
+
+def _json_text(x, newline) -> str:
+    """x as `json.dumps(..., sort_keys=True, indent=2)` writes it at the
+    indent that `newline` ("\n" and the indent) carries; a list of strings,
+    such as a point's coordinates, is written with one join."""
+    if isinstance(x, dict) and x:
+        inner = newline + "  "
+        items = (f"{_encode_str(k)}: {_json_text(x[k], inner)}" for k in sorted(x))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(x, (list, tuple)) and x:
+        inner = newline + "  "
+        if all(type(v) is str for v in x):
+            items = map(_encode_str, x)
+        else:
+            items = (_json_text(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(x)
 
 
 def save_json(path, doc) -> None:

@@ -5,7 +5,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -322,6 +326,60 @@ def test_mann_budget_charges_the_root_table(capsys, monkeypatch):
     with pytest.raises(WorkBudgetExceeded) as exc:
         mann.enumerate_target_relations(1, 2, 10000, (1,))
     assert exc.value.estimate == 10 ** 8 + 10 ** 4 * 4000
+
+
+_TABLE_RECORDER = """
+import sys
+from cyclolab import cli, cyclotomic, mann
+real, built = cyclotomic._power_table, set()
+
+def recorder(m):
+    built.add(m)
+    return real(m)
+
+cyclotomic._power_table = mann._power_table = recorder
+ep7 = sys.argv[1]
+for argv in (
+    ["gen", "erdos-purdy", "--levels", "7", "--out", ep7],
+    ["analyze", "--in", ep7, "--mode", "unit", "--k", "2"],
+    ["paths", "--in", ep7, "--mode", "unit", "--k", "3"],
+):
+    assert cli.main(argv) == 0
+print(*sorted(built))
+"""
+
+
+def test_gen_analyze_paths_build_root_tables_at_squarefree_conductors_only(tmp_path):
+    # a fresh interpreter, so no lift map, root or root index cached by an
+    # earlier test hides a table request; ep7 has conductor 1260 = 2^2 3^2 5 7
+    src = os.path.dirname(os.path.dirname(cyclotomic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _TABLE_RECORDER, str(tmp_path / "ep7.json")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    built = [int(m) for m in out.splitlines()[-1].split()]
+    assert serialize.load_pointset(tmp_path / "ep7.json").conductor == 1260
+    assert 210 in built
+    assert all(m % (q * q) for m in built for q in range(2, math.isqrt(m) + 1)), built
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a')
+)
+
+
+@given(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner) | st.lists(st.text()) | st.dictionaries(st.text(), inner),
+        max_leaves=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_canonical_json_is_sorted_indented_dumps(doc):
+    assert serialize.canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,14 @@ def test_cold_descent_asks_only_for_smaller_power_tables(monkeypatch):
     assert asked and all(m < 420 for m in asked)
 
 
+def test_power_row_is_the_nonzero_part_of_the_dense_row():
+    for m in [*range(1, 201), 420, 1260]:
+        table = cyclotomic._power_table(m)
+        for e, row in enumerate(table):
+            assert cyclotomic._power_row(m, e) == tuple((i, v) for i, v in enumerate(row) if v), (m, e)
+        assert cyclotomic._power_row(m, m + 1) == cyclotomic._power_row(m, 1)
+
+
 @pytest.mark.parametrize("n", [4, 12, 60])
 def test_identity_map_ints_is_a_copy(monkeypatch, n):
     rng = random.Random(n)
@@ -485,6 +493,30 @@ def _norm_classify_inputs(n):
     yield z + 1
     yield (z + 1) * Fraction(3, 4)
     yield from (root_of_unity(a, n) + root_of_unity(b, n) for a in (0, 1) for b in range(a + 1, n, 3))
+
+
+def _stride_classify_inputs(n):
+    """Scaled roots at conductor n and elements near them.  With M =
+    lcm(2, n) and s = M / rad(M), the nonzero entries of a root, of
+    (2 + zeta_M^s) zeta_n^e and of rational multiples sit at one residue
+    mod s; those of w + 1 mostly do not."""
+    M = math.lcm(2, n)
+    s = M // math.prod(sympy.primefactors(M))
+    for e in range(n) if n <= 36 else range(1, n, 5):
+        w = root_of_unity(e, n) * Fraction(7, 3)
+        yield from (w, -w, w * Fraction(-1, 4), w + 1, -w + 1, w * (2 + root_of_unity(s, M)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 18, 20, 36, 72])
+def test_classify_matches_brute_division_off_squarefree(n):
+    assert math.lcm(2, n) != math.prod(sympy.primefactors(n * 2))
+    hits = misses = 0
+    for w in _stride_classify_inputs(n):
+        form = classify_rational_angle(w)
+        assert (form and form.astuple()) == oracles.brute_classify(w), w
+        hits += form is not None
+        misses += form is None
+    assert hits and misses
 
 
 @pytest.mark.parametrize("n", [12, 60, 84, 420, 15, 21, 105])

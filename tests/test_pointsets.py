@@ -143,6 +143,38 @@ def test_residue_field_has_a_root_of_phi_of_exact_order():
         assert value == 0, n
 
 
+def _plain_residue_field(n):
+    """The search `residue_field` is specified by: one primality test per
+    candidate p and one power per g, with no shortcut."""
+    p = next(q for q in count((2**61 // n + 1) * n + 1, n) if sympy.isprime(q))
+    omega = next(
+        w for w in (pow(g, (p - 1) // n, p) for g in range(2, p))
+        if all(pow(w, n // q, p) != 1 for q in sympy.primefactors(n))
+    )
+    return p, omega
+
+
+def test_residue_field_matches_the_plain_search():
+    for n in [*range(1, 201), 420, 1260, 13860]:
+        assert geometry.residue_field(n) == _plain_residue_field(n), n
+
+
+def test_difference_screen_matches_the_exact_test_over_a_tiny_prime(monkeypatch):
+    # at conductor 4 the tiny prime is 5, so residues collide all the time
+    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    rng = random.Random(3)
+    found = 0
+    for _ in range(100):
+        vecs = list({(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, 8))})
+        screened = pointsets._difference_test(vecs, 4, geometry.fingerprints(vecs, 4, 4))
+        plain = pointsets._difference_test(vecs, 4, None)
+        for a in [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(20)]:
+            expected = any((x[0] + a[0], x[1] + a[1]) in vecs for x in vecs)
+            assert screened(a) == plain(a) == expected, (vecs, a)
+            found += expected
+    assert found > 50
+
+
 def test_erdos_purdy_small_prime_confirms_collisions_exactly(monkeypatch):
     # over a tiny prime most residue collisions are false; each must be
     # refuted by exact arithmetic, so the points cannot change
