@@ -592,16 +592,6 @@ class RationalAngleForm:
         return f"RationalAngleForm({self.length}, {self.exponent}, {self.modulus})"
 
 
-def _angle_form(length: Fraction, exponent: int, modulus: int) -> RationalAngleForm:
-    """RationalAngleForm(length, exponent, modulus) for a positive Fraction
-    length and 0 <= exponent < modulus, which are not checked again."""
-    form = object.__new__(RationalAngleForm)
-    object.__setattr__(form, "length", length)
-    object.__setattr__(form, "exponent", exponent)
-    object.__setattr__(form, "modulus", modulus)
-    return form
-
-
 def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     """Decide whether w = q * zeta_M^e with q a positive rational.
 
@@ -645,7 +635,7 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     e = e * s + t
     if g < 0:
         e = (e + m // 2) % m
-    return _angle_form(Fraction(abs(g), w.den), e, m)
+    return RationalAngleForm(Fraction(abs(g), w.den), e, m)
 
 
 def _root_turn(r) -> Optional[Fraction]:

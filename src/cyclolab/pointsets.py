@@ -102,18 +102,11 @@ def _root_candidates():
                 yield root_of_unity(e, m)
 
 
-def _union_prints(prints, a, big):
-    """The fingerprints at conductor big of P + (P + a), from `prints`, the
-    `geometry.fingerprints` of P into big."""
-    p = geometry.residue_field(big)[0]
-    (fa,), (ga,) = geometry.fingerprints([a.nums], a.conductor, big)
-    return [prints[0] + [(f + fa) % p for f in prints[0]], prints[1] + [(g + ga) % p for g in prints[1]]]
-
-
 def _translate_union(vecs, n, a, big, prints):
-    """The int vectors at conductor big of P + (P + a), or None if that union
-    has a collinear triple; P is `vecs` at conductor n, with no collinear
-    triple, and `prints` its `geometry.fingerprints` into conductor big.
+    """The int vectors at conductor big of P + (P + a) and their
+    `geometry.fingerprints` at big, or None if that union has a collinear
+    triple; P is `vecs` at conductor n, with no collinear triple, and
+    `prints` its fingerprints into conductor big.
 
     Point k < m is x_k and point m + k is x_k + a.  Only triples at an
     anchor x_i with a translate among the other two need a test, and
@@ -121,7 +114,9 @@ def _translate_union(vecs, n, a, big, prints):
     """
     p = geometry.residue_field(big)[0]
     m = len(vecs)
-    F, G = _union_prints(prints, a, big)
+    (fa,), (ga,) = geometry.fingerprints([a.nums], a.conductor, big)
+    F = prints[0] + [(f + fa) % p for f in prints[0]]
+    G = prints[1] + [(g + ga) % p for g in prints[1]]
     lifted = {}
 
     def point(k):
@@ -139,7 +134,7 @@ def _translate_union(vecs, n, a, big, prints):
         lines = geometry.lines_through(i, range(i + 1, 2 * m), F, G, p, partial(collinear, i))
         if any(len(line) > 1 for line in lines):
             return None
-    return [point(k) for k in range(2 * m)]
+    return [point(k) for k in range(2 * m)], (F, G)
 
 
 def _difference_test(vecs, n, prints):
@@ -156,7 +151,7 @@ def _difference_test(vecs, n, prints):
     residues = set(F)
 
     def test(a_nums):
-        fa = sum(c * pow(omega, i, p) for i, c in enumerate(a_nums) if c)
+        fa = geometry._horner(a_nums, omega, p)
         return any(
             tuple(map(add, vecs[k], a_nums)) in have for k, f in enumerate(F) if (f + fa) % p in residues
         )
@@ -196,7 +191,8 @@ def erdos_purdy(levels: int) -> PointSet:
                 prints[big] = geometry.fingerprints(vecs, conductor, big)
             union = _translate_union(vecs, conductor, a, big, prints[big])
             if union is not None:
-                vecs, conductor, prints = union, big, {big: _union_prints(prints[big], a, big)}
+                vecs, union_prints = union
+                conductor, prints = big, {big: union_prints}
                 break
         else:  # pragma: no cover - the candidate stream is infinite
             raise AssertionError("no usable root of unity found")

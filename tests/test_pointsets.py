@@ -210,7 +210,9 @@ def test_translate_union_matches_cubic_oracle_over_a_tiny_prime(monkeypatch):
             if oracles.collinear_triples(union):
                 assert got is None, (pts, a)
             else:
-                assert [CycNum(4, v) for v in got] == union, (pts, a)
+                got_vecs, got_prints = got
+                assert [CycNum(4, v) for v in got_vecs] == union, (pts, a)
+                assert list(got_prints) == geometry.fingerprints(got_vecs, 4, 4), (pts, a)
             checked += 1
     assert keyless > 100
 
