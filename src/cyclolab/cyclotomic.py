@@ -11,8 +11,10 @@ test are exact because the representation is canonical.  Hashing and
 reading the coordinates over each subfield from rows of powers of zeta,
 so one exact pass decides each prime.  Since Phi_N(x) = Phi_r(x^(N/r))
 with r the product of the primes dividing N, every power of zeta_N is a
-row of the table of zeta_r spread out (`_power_row`), and no table is
-built at a conductor that is not squarefree.  Floating point enters
+row of the table of zeta_r spread out, and one routine (`_power_sum`)
+writes every sum of powers of zeta_N from those rows: lifts, Galois
+maps, the descent and the root rows of `mann` all read it, so no table
+is built at a conductor that is not squarefree.  Floating point enters
 only through `approx_complex` and the interval fallback of `real_sign`.
 """
 
@@ -169,32 +171,37 @@ def _radical_split(m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _power_row(m: int, e: int) -> tuple:
-    """x^e mod Phi_m as (index, int) pairs over its nonzero entries.
+def _sparse_rows(r: int) -> list:
+    """Entry q is row q of `_power_table(r)` as (index, int) pairs over its
+    nonzero entries, or None until `_power_sum` first reads that row."""
+    return [None] * r
+
+
+def _power_sum(terms, m):
+    """The sum of c * zeta_m^e over the (e, c) pairs of `terms`, as phi(m) ints.
 
     With (r, s) = `_radical_split(m)`, Phi_m(x) = Phi_r(x^s).  For
     e = q s + t (e taken mod m, 0 <= t < s), x^e = x^t (x^s)^q, and
     (x^s)^q mod Phi_r(x^s) is row q of `_power_table(r)` read in powers of
     x^s, of degree at most s (phi(r) - 1).  Times x^t it stays below
-    deg Phi_m = s phi(r), so entry i of row q goes to index s i + t as is.
-    Rows are cached; callers pass e reduced mod m, so each row is kept once.
+    deg Phi_m = s phi(r), so entry i of row q goes to index s i + t as is:
+    the terms with one t add up in the stride-s slice from t.
     """
     r, s = _radical_split(m)
-    q, t = divmod(e % m, s)
-    row = _power_table(r)[q]
-    return tuple(filter(itemgetter(1), zip(range(t, s * len(row), s), row)))
-
-
-@lru_cache(maxsize=None)
-def _monomial_images(n: int, m: int, t: int) -> tuple:
-    """Images of the power basis of Q(zeta_n) under zeta_n -> zeta_m^(t*m/n).
-
-    Needs n | m.  Row j is `_power_row(m, j * t * m/n)`, the image of
-    zeta_n^j reduced mod Phi_m.  With t = 1 this is the lift into
-    Q(zeta_m); with m = n it is the Galois map zeta -> zeta^t.
-    """
-    step = t * (m // n)
-    return tuple(_power_row(m, j * step % m) for j in range(phi(n)))
+    rows, slices = _sparse_rows(r), {}
+    for e, c in terms:
+        if c:
+            q, t = divmod(e % m, s)
+            row = rows[q]
+            if row is None:
+                row = rows[q] = tuple(filter(itemgetter(1), enumerate(_power_table(r)[q])))
+            acc = slices.get(t) or slices.setdefault(t, [0] * phi(r))
+            for i, v in row:
+                acc[i] += c * v
+    out = [0] * phi(m)
+    for t, acc in slices.items():
+        out[t::s] = acc
+    return out
 
 
 def _int_product(a, b, n):
@@ -203,15 +210,12 @@ def _int_product(a, b, n):
 
 
 def _map_ints(nums, n, m, t=1):
-    """Image of conductor-n int coefficients under zeta_n -> zeta_m^(t*m/n), at conductor m."""
+    """Image of conductor-n int coefficients under zeta_n -> zeta_m^(t*m/n), at
+    conductor m (n | m): the lift into Q(zeta_m) when t = 1, a Galois map when m = n."""
     if n == m and t == 1:
         return list(nums)
-    acc = [0] * phi(m)
-    for c, row in zip(nums, _monomial_images(n, m, t)):
-        if c:
-            for i, v in row:
-                acc[i] += c * v
-    return acc
+    step = t * (m // n)
+    return _power_sum(zip(range(0, step * len(nums), step), nums), m)
 
 
 def _as_fraction(c):
@@ -486,7 +490,7 @@ def _descend_to_minimal(n, nums, den):
     Q(zeta_m), with basis 1, zeta_p, ..., zeta_p^(p-2).  With u = p^-1
     mod m and v = m^-1 mod p, zeta_n^k = zeta_m^(ku) * zeta_p^(kv), so
     x = sum over j < p of A_j zeta_p^(jv), where A_j in Q(zeta_m) adds
-    c_k times `_power_row(m, ku)` over k = j mod p.  Write
+    the `_power_sum` of c_k zeta_m^(ku) over k = j mod p.  Write
     B_r for the A_j with jv = r mod p.  As zeta_p^(p-1) = -(1 + ... +
     zeta_p^(p-2)), x = sum over r < p - 1 of (B_r - B_(p-1)) zeta_p^r,
     and jv runs over the nonzero residues as j does, so x lies in
@@ -500,12 +504,9 @@ def _descend_to_minimal(n, nums, den):
             image = nums[::p]
         else:
             u = pow(p, -1, m)
-            parts = [[0] * phi(m) for _ in range(p)]
-            for k, c in enumerate(nums):
-                if c:
-                    acc = parts[k % p]
-                    for i, t in _power_row(m, k * u % m):
-                        acc[i] += c * t
+            parts = [
+                _power_sum(((k * u, nums[k]) for k in range(j, len(nums), p)), m) for j in range(p)
+            ]
             if any(a != parts[1] for a in parts[2:]):
                 continue
             image = [a - b for a, b in zip(parts[0], parts[1])]
@@ -542,16 +543,13 @@ def root_of_unity(e: int, n: int) -> CycNum:
     """zeta_n^e as an element of Q(zeta_n)."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    vec = [0] * phi(n)
-    for i, v in _power_row(n, e % n):
-        vec[i] = v
-    return _from_ints(n, vec, 1)
+    return _from_ints(n, _power_sum(((e, 1),), n), 1)
 
 
 @lru_cache(maxsize=None)
 def unit_roots(m: int) -> tuple:
     """All m-th roots of unity zeta_m^0 .. zeta_m^(m-1), in exponent order."""
-    return tuple(_from_ints(m, row, 1) for row in _power_table(m))
+    return tuple(_from_ints(m, _power_sum(((e, 1),), m), 1) for e in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -603,7 +601,7 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     (power-table rows are primitive, since a root of unity divided by an
     integer g > 1 is not an algebraic integer).  With (r, s) =
     `_radical_split(M)` and e = q s + t, that row is row q of the table
-    of r at the indices = t (mod s) (`_power_row`), so the form is a row
+    of r at the indices = t (mod s) (`_power_sum`), so the form is a row
     exactly when its nonzero entries all sit at indices = t for one t and
     its stride-s slice from t is a row of `_roots_index(r)`.  Returns None
     when w has an irrational length or a non-rational angle; raises on

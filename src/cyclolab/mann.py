@@ -22,7 +22,7 @@ from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
-    CycNum, _as_fraction, _from_ints, _map_ints, _power_table, _root_turn, _to_int_scaled, phi,
+    CycNum, _as_fraction, _from_ints, _map_ints, _power_sum, _root_turn, _to_int_scaled, phi,
     root_of_unity,
 )
 from .errors import CapExceeded, WorkBudgetExceeded
@@ -185,8 +185,8 @@ class RelationTuple:
 
     When `minimal` is set, no nonempty proper subset of the weighted
     terms sums to zero; the constructor re-checks that claim.  Both
-    checks run on int rows of the root table (`_term_rows`), with no
-    field products.
+    checks run on int rows of the roots (`_term_rows`), with no field
+    products.
     """
 
     roots: tuple
@@ -232,11 +232,11 @@ class MannCertificate:
 
 
 def _term_rows(roots, coeffs, conductor=1):
-    """Terms c * zeta_M^e as rows e n/M of `_power_table(n)`, returned with n,
-    the lcm of `conductor` and the orders M, and the coefficients' common
-    denominator.  Rows are scaled by c times that denominator, so they sum
-    to it times the weighted sum.  Raises ValueError on a root that is not
-    a root of unity.
+    """Terms c * zeta_M^e as the int rows of zeta_n^(e n/M) (`_power_sum`),
+    returned with n, the lcm of `conductor` and the orders M, and the
+    coefficients' common denominator.  Rows are scaled by c times that
+    denominator, so they sum to it times the weighted sum.  Raises
+    ValueError on a root that is not a root of unity.
     """
     turns = []
     for r in roots:
@@ -247,9 +247,9 @@ def _term_rows(roots, coeffs, conductor=1):
             raise ValueError(f"{r!r} is not a root of unity")
         turns.append(turn)
     n = math.lcm(conductor, *(t.denominator for t in turns))
-    table, (scaled, den) = _power_table(n), _to_int_scaled(coeffs)
+    scaled, den = _to_int_scaled(coeffs)
     index = [t.numerator * n // t.denominator for t in turns]
-    return [tuple(s * x for x in table[i]) for i, s in zip(index, scaled)], n, den
+    return [_power_sum(((i, s),), n) for i, s in zip(index, scaled)], n, den
 
 
 def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
@@ -341,7 +341,7 @@ def enumerate_minimal_vanishing_sums(
     scaled, _ = _to_int_scaled(cs)
     # one positive scale for all terms keeps every zero test, and each
     # test combines at most the k terms of one candidate
-    values = pack_vectors([[s * x for x in row] for row in _power_table(m) for s in scaled], k)
+    values = pack_vectors([_power_sum(((e, s),), m) for e in range(m) for s in scaled], k)
 
     tracker = SubsetSumTracker()
     chosen = []
@@ -461,13 +461,13 @@ def _target_census(targets, k: int, m: int, cs) -> list:
     terms = [(e, c) for e in range(m) for c in cs]
     scaled, den = _to_int_scaled(cs)
     tden = math.lcm(*(a.den for a in targets))
-    rows = _power_table(conductor)[:: conductor // m]  # row e is zeta_m^e
+    step = conductor // m  # zeta_m^e is zeta_conductor^(e step)
     # the closing test combines a target, k - 1 prefix terms and
     # c*zeta^e, all scaled by den * tden
     packs = pack_vectors(
         [[den * tden // a.den * x for x in _map_ints(a.nums, a.conductor, conductor)]
          for a in targets]
-        + [[tden * s * x for x in row] for row in rows for s in scaled],
+        + [_power_sum(((e * step, tden * s),), conductor) for e in range(m) for s in scaled],
         k + 1,
     )
     apacks, tpacks = packs[: len(targets)], packs[len(targets) :]
@@ -539,14 +539,14 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     charge_target_scan(k, m, coeff_set, budget)
     if k < 1:
         raise ValueError("length must be at least 1")
-    table = _power_table(m)
+    rows = [_power_sum(((e, 1),), m) for e in range(m)]
     scaled, den = _to_int_scaled([_as_fraction(c) for c in coeff_set])
     keyed = {}
     for e1 in range(m):
         for c1 in scaled:
             for e2 in range(e1, m):
                 for c2 in scaled:
-                    key = tuple(c1 * x + c2 * y for x, y in zip(table[e1], table[e2]))
+                    key = tuple(c1 * x + c2 * y for x, y in zip(rows[e1], rows[e2]))
                     if any(key) and key not in keyed:
                         keyed[key] = _from_ints(m, key, den)
     targets = list(keyed.values())

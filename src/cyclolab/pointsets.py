@@ -142,10 +142,8 @@ def _difference_test(vecs, n, prints):
     a_nums at conductor n, like the vecs.  With `prints` the fingerprints
     of vecs at n, only an x with F_x + f_a among the F residues can pass,
     since x + a = y forces equal residues, and each such x is confirmed
-    exactly; with no prints every x is tried exactly."""
+    exactly."""
     have = set(map(tuple, vecs))
-    if prints is None:
-        return lambda a_nums: any(tuple(map(add, x, a_nums)) in have for x in vecs)
     p, omega = geometry.residue_field(n)
     F = prints[0]
     residues = set(F)
@@ -176,11 +174,11 @@ def erdos_purdy(levels: int) -> PointSet:
 
     conductor = 1
     vecs = [(0,), (1,)]
-    prints = {}  # residues of vecs, one pair of lists per target conductor
+    prints = {1: geometry.fingerprints(vecs, 1, 1)}  # residues of vecs, by target conductor
 
     for _ in range(levels - 1):
         # the union's fingerprints at its conductor screen the next level
-        is_difference = _difference_test(vecs, conductor, prints.get(conductor))
+        is_difference = _difference_test(vecs, conductor, prints[conductor])
         for a in _root_candidates():
             # a = q - p for points p, q iff p + a is a point; a root
             # outside Q(zeta_conductor) is no difference of points

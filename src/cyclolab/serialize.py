@@ -66,9 +66,10 @@ def _is_int(x) -> bool:
 
 
 def _coord_strs(x: CycNum) -> list:
-    """x's coordinates as lowest-terms rational strings, read off nums / den."""
+    """x's coordinates as lowest-terms rational strings, read off nums / den;
+    an integral point's zeros share one string, as most coordinates of large sets are 0."""
     if x.den == 1:
-        return list(map(str, x.nums))
+        return [str(c) if c else "0" for c in x.nums]
     gs = [math.gcd(c, x.den) for c in x.nums]
     return [str(c // g) if g == x.den else f"{c // g}/{x.den // g}" for c, g in zip(x.nums, gs)]
 
@@ -176,8 +177,8 @@ def obj_to_relation(d) -> RelationTuple:
         raise ValueError("minimal must be true or false")
     coeffs = tuple(str_to_fraction(c) for c in coeffs)
     target = obj_to_cycnum(d["target"])
-    # the check builds the n-row root table of Q(zeta_n), n * phi(n) ints;
-    # n alone bounds that from below, so phi(n) is only taken for small n
+    # the check reads root rows of the table of r = rad(n), r * phi(r) ints, which
+    # n * phi(n) bounds; n alone bounds that from below, so phi(n) is only taken for small n
     n = math.lcm(2, m, target.conductor)
     work = n if n > WORK_BUDGET else n * phi(n)
     if work > WORK_BUDGET:

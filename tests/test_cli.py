@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -295,12 +296,12 @@ def test_mann_target_scan_rejects_zero_modulus(capsys):
 
 
 def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):
-    def no_table(m):
-        raise RuntimeError(f"_power_table({m}) reached")
+    def no_rows(terms, m):
+        raise RuntimeError(f"_power_sum at {m} reached")
 
     # the enumeration alone passes the budget; the whole scan does not,
-    # and it is refused before the scan reads its first table
-    monkeypatch.setattr(mann, "_power_table", no_table)
+    # and it is refused before the scan writes its first root row
+    monkeypatch.setattr(mann, "_power_sum", no_rows)
     assert run(["mann", "--k", 2, "--modulus", 3000, "--target-scan"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds budget" in err
@@ -319,7 +320,6 @@ def test_mann_budget_charges_the_root_table(capsys, monkeypatch):
     # 10^4 squared tuples fit the default budget; the 10^4 x phi(10^4)
     # coefficients of the root table do not
     monkeypatch.setattr(cyclotomic, "_power_table", small_only)
-    monkeypatch.setattr(mann, "_power_table", small_only, raising=False)
     assert run(["mann", "--k", 2, "--modulus", 10000]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds budget" in err
@@ -330,37 +330,44 @@ def test_mann_budget_charges_the_root_table(capsys, monkeypatch):
 
 _TABLE_RECORDER = """
 import sys
-from cyclolab import cli, cyclotomic, mann
+from cyclolab import cli, cyclotomic, serialize
 real, built = cyclotomic._power_table, set()
 
 def recorder(m):
     built.add(m)
     return real(m)
 
-cyclotomic._power_table = mann._power_table = recorder
-ep7 = sys.argv[1]
+# every module that imported the table by name reads the recorder
+for module in list(sys.modules.values()):
+    if getattr(module, "_power_table", None) is real:
+        module._power_table = recorder
+ep7, rel = sys.argv[1:]
 for argv in (
     ["gen", "erdos-purdy", "--levels", "7", "--out", ep7],
     ["analyze", "--in", ep7, "--mode", "unit", "--k", "2"],
     ["paths", "--in", ep7, "--mode", "unit", "--k", "3"],
+    ["mann", "--k", "3", "--modulus", "12", "--coeffs=1,-1", "--target-scan"],
+    ["mann", "--k", "3", "--modulus", "60", "--out", rel],
 ):
     assert cli.main(argv) == 0
+assert serialize.load_relations(rel)
 print(*sorted(built))
 """
 
 
 def test_gen_analyze_paths_build_root_tables_at_squarefree_conductors_only(tmp_path):
-    # a fresh interpreter, so no lift map, root or root index cached by an
-    # earlier test hides a table request; ep7 has conductor 1260 = 2^2 3^2 5 7
+    # a fresh interpreter, so no root row, root or root index cached by an
+    # earlier test hides a table request; ep7 has conductor 1260 = 2^2 3^2 5 7,
+    # and the mann runs work at 12 = 2^2 3 and 60 = 2^2 3 5
     src = os.path.dirname(os.path.dirname(cyclotomic.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", _TABLE_RECORDER, str(tmp_path / "ep7.json")],
+        [sys.executable, "-c", _TABLE_RECORDER, str(tmp_path / "ep7.json"), str(tmp_path / "rel.json")],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     built = [int(m) for m in out.splitlines()[-1].split()]
     assert serialize.load_pointset(tmp_path / "ep7.json").conductor == 1260
-    assert 210 in built
+    assert {6, 30, 210} <= set(built)
     assert all(m % (q * q) for m in built for q in range(2, math.isqrt(m) + 1)), built
 
 
@@ -769,6 +776,81 @@ def test_mutated_pointset_exits_2_or_loads_as_fraction_reads_it(edits):
             assert rc in (0, 1), rows
             got = serialize.load_pointset(path).points
             assert [(p.nums, p.den) for p in got] == [(p.nums, p.den) for p in expected]
+
+
+def _document_paths(doc, path=()):
+    """Every key path into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _document_paths(value, path + (key,))
+
+
+def _swap_type(v):
+    return {str: 7, int: "7", bool: 1, float: "0.5", list: {}, dict: [], type(None): False}[type(v)]
+
+
+def _edit_value(v):
+    """Changed exponents and conductors for ints, changed rational strings for strs."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        return [_swap_type(v)]
+    if isinstance(v, int):
+        return [v + 1, v - 1, -v, 2 * v, 0, 10 ** 40]
+    return [v + "/0", "-" + v, "2/4", "x" + v, "", "9" * 5000, v.replace("/", "/-")]
+
+
+def _valid_documents():
+    zeta6 = cyclotomic.root_of_unity(1, 6)
+    relations = mann.enumerate_minimal_vanishing_sums(3, 6, (1, -1)) + mann.enumerate_target_relations(
+        1 + zeta6, 2, 6, (1, Fraction(1, 2))
+    )
+    report = distgraph.analyze(erdos_purdy(3), "unit", 2)
+    return {"relations": serialize.relations_to_obj(relations), "report": serialize.report_to_obj(report)}
+
+
+_VALID_DOCUMENTS = _valid_documents()
+
+
+@given(
+    st.sampled_from(sorted(_VALID_DOCUMENTS)),
+    st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(["drop", "swap", "edit"]), st.integers(0, 6)),
+             min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_relation_and_report_documents_load_or_raise_value_error(kind, edits):
+    doc = json.loads(json.dumps(_VALID_DOCUMENTS[kind]))
+    for where, how, which in edits:
+        paths = list(_document_paths(doc))
+        if not paths:
+            break
+        *parents, key = paths[where % len(paths)]
+        parent = doc
+        for k in parents:
+            parent = parent[k]
+        if how == "drop":
+            del parent[key]
+        elif how == "swap":
+            parent[key] = _swap_type(parent[key])
+        else:
+            edited = _edit_value(parent[key])
+            parent[key] = edited[which % len(edited)]
+    load = serialize.load_relations if kind == "relations" else serialize.load_report
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load(path)
+        except ValueError:
+            pass
+        if kind == "report":
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = run(["report", "--in", path])
+            if rc == 0:
+                assert err.getvalue() == "", doc
+            else:
+                assert rc == 2 and err.getvalue().startswith("error:"), doc
+                assert err.getvalue().count("\n") == 1 and out.getvalue() == "", doc
 
 
 @pytest.mark.parametrize(

@@ -310,34 +310,35 @@ def test_cold_descent_asks_only_for_smaller_power_tables(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(cyclotomic, "_power_table", recorder)
-    # lift maps built before this test would hide a request for table 420
-    fresh = lru_cache(maxsize=None)(cyclotomic._monomial_images.__wrapped__)
-    monkeypatch.setattr(cyclotomic, "_monomial_images", fresh)
+    # rows read before this test would hide a request for table 420
+    fresh = lru_cache(maxsize=None)(cyclotomic._sparse_rows.__wrapped__)
+    monkeypatch.setattr(cyclotomic, "_sparse_rows", fresh)
     assert x.min_conductor() == 12
     assert asked and all(m < 420 for m in asked)
 
 
-def test_power_row_is_the_nonzero_part_of_the_dense_row():
+def test_power_sum_of_one_root_is_its_long_form_reduced():
+    # the oracle reduction of x^e mod Phi_m, on an int long form: the
+    # same reduction over the Fractions of `LongForm.root` takes 10x longer
     for m in [*range(1, 201), 420, 1260]:
-        table = cyclotomic._power_table(m)
-        for e, row in enumerate(table):
-            assert cyclotomic._power_row(m, e) == tuple((i, v) for i, v in enumerate(row) if v), (m, e)
-        assert cyclotomic._power_row(m, m + 1) == cyclotomic._power_row(m, 1)
+        phic = oracles.phi_coeffs(m)
+        for e in [*range(m), m + 1]:
+            long_form = [0] * m
+            long_form[e % m] = 1
+            expected = oracles.reduce_mod_phi(long_form, phic)
+            assert tuple(cyclotomic._power_sum(((e, 1),), m)) == expected, (m, e)
 
 
 @pytest.mark.parametrize("n", [4, 12, 60])
 def test_identity_map_ints_is_a_copy(monkeypatch, n):
     rng = random.Random(n)
     nums = [rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(phi(n))]
-    general = [0] * phi(n)
-    for c, row in zip(nums, cyclotomic._monomial_images(n, n, 1)):
-        for i, v in row:
-            general[i] += c * v
+    general = cyclotomic._power_sum(enumerate(nums), n)
 
     def refuse(*args):
-        raise AssertionError("the identity map needs no monomial images")
+        raise AssertionError("the identity map needs no power sum")
 
-    monkeypatch.setattr(cyclotomic, "_monomial_images", refuse)
+    monkeypatch.setattr(cyclotomic, "_power_sum", refuse)
     same = cyclotomic._map_ints(tuple(nums), n, n)
     assert same == nums == general
     assert cyclotomic._map_ints(nums, n, n) is not nums

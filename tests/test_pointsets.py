@@ -167,10 +167,9 @@ def test_difference_screen_matches_the_exact_test_over_a_tiny_prime(monkeypatch)
     for _ in range(100):
         vecs = list({(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, 8))})
         screened = pointsets._difference_test(vecs, 4, geometry.fingerprints(vecs, 4, 4))
-        plain = pointsets._difference_test(vecs, 4, None)
         for a in [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(20)]:
             expected = any((x[0] + a[0], x[1] + a[1]) in vecs for x in vecs)
-            assert screened(a) == plain(a) == expected, (vecs, a)
+            assert screened(a) == expected, (vecs, a)
             found += expected
     assert found > 50
 
