@@ -215,7 +215,7 @@ def _map_ints(nums, n, m, t=1):
     if n == m and t == 1:
         return list(nums)
     step = t * (m // n)
-    return _power_sum(zip(range(0, step * len(nums), step), nums), m)
+    return _power_sum(((j * step, c) for j, c in enumerate(nums)), m)
 
 
 def _as_fraction(c):

@@ -228,6 +228,19 @@ def test_analyze_checks_path_length_on_one_point(tmp_path, capsys, k):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_analyze_large_collinear_points_at_conductor_one(tmp_path, capsys):
+    # near 10^9 the norm bound fails, so collinearity is confirmed by
+    # pair_vec, whose conjugation at conductor 1 maps by zeta_1^0
+    path = tmp_path / "line.json"
+    serialize.save_json(path, {
+        "format_version": serialize.FORMAT_VERSION, "kind": "pointset", "conductor": 1,
+        "provenance": {"name": "line", "params": {}, "seed": 0},
+        "points": [["1000000000"], ["1000000001"], ["1000000003"]],
+    })
+    assert run(["analyze", "--in", path, "--mode", "rational"]) == 0
+    assert "max_collinear=3" in capsys.readouterr().out
+
+
 def test_analyze_deterministic_bytes(ep3, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run(["analyze", "--in", ep3, "--mode", "unit", "--out", r1]) == 0
@@ -310,16 +323,13 @@ def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):
 
 
 def test_mann_budget_charges_the_root_table(capsys, monkeypatch):
-    real = cyclotomic._power_table
-
-    def small_only(m):
-        if m > 5000:
-            raise RuntimeError(f"_power_table({m}) built")
-        return real(m)
+    def no_rows(terms, m):
+        raise RuntimeError(f"_power_sum at {m} reached")
 
     # 10^4 squared tuples fit the default budget; the 10^4 x phi(10^4)
-    # coefficients of the root table do not
-    monkeypatch.setattr(cyclotomic, "_power_table", small_only)
+    # coefficients of the root rows do not, and the charge comes before
+    # the first row is written
+    monkeypatch.setattr(mann, "_power_sum", no_rows)
     assert run(["mann", "--k", 2, "--modulus", 10000]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds budget" in err
