@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import distgraph, mann, pointsets, serialize
 
@@ -21,18 +20,8 @@ EXIT_CEILING = 1
 EXIT_USAGE = 2
 
 
-def _parse_spacing(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad spacing {text!r}: {exc}")
-
-
 def _parse_coeffs(text: str) -> tuple:
-    try:
-        parts = tuple(Fraction(p.strip()) for p in text.split(",") if p.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coefficient list {text!r}: {exc}")
+    parts = tuple(serialize.str_to_fraction(p.strip()) for p in text.split(",") if p.strip())
     if not parts:
         raise ValueError("coefficient list is empty")
     return parts
@@ -107,7 +96,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         ps = pointsets.erdos_purdy(args.levels)
         default_out = f"erdos_purdy_L{args.levels}.json"
     elif args.construction == "grid":
-        ps = pointsets.square_grid(args.rows, args.cols, _parse_spacing(args.spacing))
+        ps = pointsets.square_grid(args.rows, args.cols, serialize.str_to_fraction(args.spacing))
         default_out = f"grid_{args.rows}x{args.cols}.json"
     else:  # "lines", the last construction the parser admits
         ps = pointsets.parallel_lines(args.lines, args.per_line, args.seed)

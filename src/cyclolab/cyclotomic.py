@@ -12,9 +12,11 @@ reading the coordinates over each subfield from rows of powers of zeta,
 so one exact pass decides each prime.  Since Phi_N(x) = Phi_r(x^(N/r))
 with r the product of the primes dividing N, every power of zeta_N is a
 row of the table of zeta_r spread out, and one routine (`_power_sum`)
-writes every sum of powers of zeta_N from those rows: lifts, Galois
-maps, the descent and the root rows of `mann` all read it, so no table
-is built at a conductor that is not squarefree.  Floating point enters
+writes every sum of powers of zeta_N from those rows: products, the
+constructor's reduction of a long polynomial, lifts, Galois maps, the
+descent, the collinearity pairing and the root rows of `mann` all read
+it, so it is the only reduction into the power basis and no table is
+built at a conductor that is not squarefree.  Floating point enters
 only through `approx_complex` and the interval fallback of `real_sign`.
 """
 
@@ -107,26 +109,6 @@ def _prime_factors(n: int) -> tuple:
     return tuple(out)
 
 
-def _reduce_vec(vec, n):
-    """Reduce a coefficient list (int or Fraction entries) mod Phi_n in place.
-
-    Returns a list of exactly phi(n) entries.
-    """
-    pc = cyclotomic_polynomial(n)
-    deg = len(pc) - 1
-    for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
-        if c:
-            vec[i] = 0
-            base = i - deg
-            for j in range(deg):
-                if pc[j]:
-                    vec[base + j] -= c * pc[j]
-    if len(vec) < deg:
-        vec = list(vec) + [0] * (deg - len(vec))
-    return vec[:deg]
-
-
 def _to_int_scaled(coeffs):
     """Common-denominator form: returns (int list, denominator)."""
     den = 1
@@ -204,11 +186,6 @@ def _power_sum(terms, m):
     return out
 
 
-def _int_product(a, b, n):
-    """Product of two int coefficient vectors in Q(zeta_n), reduced mod Phi_n."""
-    return _reduce_vec(_poly_mul_int(a, b), n)
-
-
 def _map_ints(nums, n, m, t=1):
     """Image of conductor-n int coefficients under zeta_n -> zeta_m^(t*m/n), at
     conductor m (n | m): the lift into Q(zeta_m) when t = 1, a Galois map when m = n."""
@@ -261,11 +238,13 @@ class CycNum:
     __slots__ = ("conductor", "nums", "den", "_min_key")
 
     def __new__(cls, conductor: int, coeffs: Iterable):
-        cs = [_as_fraction(c) for c in coeffs]
-        if len(cs) != phi(conductor):
-            # any polynomial in zeta is accepted; reduce to the power basis
-            cs = _reduce_vec(cs, conductor)
-        return _from_ints(conductor, *_to_int_scaled(cs))
+        nums, den = _to_int_scaled([_as_fraction(c) for c in coeffs])
+        deg = phi(conductor)
+        # any polynomial in zeta is accepted: reduce a long one to the power
+        # basis, pad a short one (no table is read for it)
+        if len(nums) > deg:
+            nums = _power_sum(enumerate(nums), conductor)
+        return _from_ints(conductor, nums + [0] * (deg - len(nums)), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
@@ -367,7 +346,8 @@ class CycNum:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        return _from_ints(a.conductor, _int_product(a.nums, b.nums, a.conductor), a.den * b.den)
+        n = a.conductor
+        return _from_ints(n, _power_sum(enumerate(_poly_mul_int(a.nums, b.nums)), n), a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -21,13 +21,19 @@ import itertools
 import math
 from functools import lru_cache
 
-from .cyclotomic import CycNum, _int_product, _map_ints, _prime_factors, cyclotomic_polynomial, phi
+from .cyclotomic import CycNum, _poly_mul_int, _power_sum, _prime_factors, cyclotomic_polynomial, phi
 
 
 def pair_vec(x, y, n: int) -> tuple:
-    """S(x, y) for int coefficient vectors x, y at conductor n."""
-    w = _int_product(x, _map_ints(y, n, n, n - 1), n)
-    return tuple(a - b for a, b in zip(w, _map_ints(w, n, n, n - 1)))
+    """S(x, y) for int coefficient vectors x, y at conductor n.
+
+    Entry e of x * reversed(y) sums x_i y_j over i - j = e - len(y) + 1,
+    so x conj(y) is the sum of those entries c times zeta^(e - len(y) + 1),
+    and conj(x) y the same with each exponent negated.  One `_power_sum`
+    writes the difference in the power basis.
+    """
+    terms = [(e - len(y) + 1, c) for e, c in enumerate(_poly_mul_int(x, y[::-1])) if c]
+    return tuple(_power_sum(itertools.chain(terms, [(-e, -c) for e, c in terms]), n))
 
 
 def common_scale(points):

@@ -368,10 +368,19 @@ def _json_int(text):
         raise ValueError(f"integer of {len(text)} digits is too long") from None
 
 
+def _json_float(text):
+    x = float(text)
+    if not math.isfinite(x):  # a literal past the double range, such as 1e999
+        raise ValueError(f"number {_clip(text)} is out of range")
+    return x
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant, parse_int=_json_int)
+            doc = json.load(
+                fh, parse_constant=_reject_constant, parse_float=_json_float, parse_int=_json_int
+            )
         except RecursionError:
             raise ValueError("document is nested too deeply") from None
     if not isinstance(doc, dict):

@@ -139,6 +139,10 @@ def test_gen_grid_fractional_spacing(tmp_path):
     assert ps.provenance["params"]["spacing"] == "1/2"
 
 
+# CLI rationals read like file rationals: these are refused, the error naming the form
+_NOT_LOWEST_TERMS = {"abc", "1/0", "1e5000", "0.5", "1,x", "1,0.5"}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -148,12 +152,17 @@ def test_gen_grid_fractional_spacing(tmp_path):
         ["gen", "erdos-purdy", "--levels", 9],
         ["gen", "lines", "--lines", 0],
         ["gen", "grid", "--spacing", "1/0"],
+        ["gen", "grid", "--spacing", "1e5000"],
+        ["gen", "grid", "--spacing", "0.5"],
     ],
 )
 def test_gen_validation_errors(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     assert run(args) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if set(map(str, args)) & _NOT_LOWEST_TERMS:
+        assert "lowest-terms form" in err
 
 
 def test_bad_choice_exits_via_argparse(tmp_path):
@@ -296,11 +305,16 @@ def test_mann_target_scan(capsys):
         ["mann", "--k", 2, "--modulus", 12, "--coeffs", "1,x"],
         ["mann", "--k", 3, "--modulus", 60, "--budget", 10],
         ["mann", "--k", 0, "--modulus", 12],
+        ["mann", "--k", 2, "--modulus", 3, "--coeffs", "1e5000"],
+        ["mann", "--k", 2, "--modulus", 3, "--coeffs", "1,0.5"],
     ],
 )
 def test_mann_errors(capsys, args):
     assert run(args) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if set(map(str, args)) & _NOT_LOWEST_TERMS:
+        assert "lowest-terms form" in err
 
 
 def test_mann_target_scan_rejects_zero_modulus(capsys):
@@ -910,6 +924,26 @@ def test_hostile_json_via_cli_exits_2(ep3, tmp_path, capsys, command, constant):
     bad.write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert run([command, "--in", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, literal", [("excess_exponent", "1e999"), ("continuation_discounted", "-1e999")]
+)
+def test_overflowing_json_number_is_refused(ep3, tmp_path, capsys, field, literal):
+    # float() reads these literals as +-inf, which no report holds and save_report cannot write back
+    rep_path = tmp_path / "rep.json"
+    assert run(["analyze", "--in", ep3, "--mode", "unit", "--out", rep_path]) == 0
+    doc = json.loads(rep_path.read_text(encoding="utf-8"))
+    (doc if field in doc else doc["bounds"])[field] = "X"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"X"', literal), encoding="utf-8")
+    with pytest.raises(ValueError, match="out of range"):
+        serialize.load_report(bad)
+    capsys.readouterr()
+    assert run(["report", "--in", bad]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -22,7 +22,7 @@ from cyclolab import (
     root_of_unity,
     unit_roots,
 )
-from cyclolab import cyclotomic
+from cyclolab import cyclotomic, geometry
 from cyclolab.cyclotomic import _poly_mul_int, _roots_index
 
 import oracles
@@ -372,14 +372,12 @@ def test_kernel_maps_match_longform_at_workload_conductors(n):
     k = big_n // n
     # the long-form oracle takes about a second per reduction at 1260
     slow = n > 420
+
+    def sparse(size, draw=lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
+        return [draw() if rng.random() < 0.4 else 0 for _ in range(size)]
+
     for trial in range(1 if slow else 3):
-        x = CycNum(
-            n,
-            [
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.4 else 0
-                for _ in range(phi(n))
-            ],
-        )
+        x = CycNum(n, sparse(phi(n)))
         vec = oracles.LongForm.from_cyc(x).vec
         for t in [n - 1] + rng.sample(units, 1 if slow else 3):
             moved = [Fraction(0)] * n
@@ -401,6 +399,49 @@ def test_kernel_maps_match_longform_at_workload_conductors(n):
         assert hash(big) == hash(x)
         if x and not slow and (n != 420 or trial == 0):
             assert x * x.inverse() == 1
+        # a product, the constructor on a long form and the pairing, all reduced by `_power_sum`
+        y = CycNum(n, sparse(phi(n)))
+        product = x * y
+        assert product.coeffs == oracles.LongForm.from_cyc(x).mul(oracles.LongForm.from_cyc(y)).reduced()
+        assert_lowest_terms(product)
+        long_vec = sparse(n)
+        assert CycNum(n, long_vec).coeffs == oracles.LongForm(n, long_vec).reduced()
+        u, v = (sparse(phi(n), lambda: rng.randint(-9, 9)) for _ in range(2))
+        assert geometry.pair_vec(u, v, n) == _long_pair(u, v, n)
+
+
+def _long_pair(x, y, n):
+    """S(x, y) = x conj(y) - conj(x) y of int vectors at conductor n, in the long form."""
+
+    def long_forms(v):
+        conj = [0] * n
+        for j, c in enumerate(v):
+            conj[-j % n] += c
+        return oracles.LongForm(n, list(v) + [0] * (n - len(v))), oracles.LongForm(n, conj)
+
+    (x, x_bar), (y, y_bar) = long_forms(x), long_forms(y)
+    return x.mul(y_bar).sub(x_bar.mul(y)).reduced()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pair_vec_matches_longform_on_rational_conductors(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        u, v = [rng.randint(-10**12, 10**12)], [rng.randint(-10**12, 10**12)]
+        assert geometry.pair_vec(u, v, n) == _long_pair(u, v, n) == (0,)
+
+
+def test_short_constructor_input_builds_no_table(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"table {m} built for a short input")
+
+    # a fresh row cache, so rows read before this test cannot hide a table request
+    monkeypatch.setattr(cyclotomic, "_power_table", refuse)
+    fresh = lru_cache(maxsize=None)(cyclotomic._sparse_rows.__wrapped__)
+    monkeypatch.setattr(cyclotomic, "_sparse_rows", fresh)
+    # through `_power_sum`, the first would build the table of 30030: 2.4 GiB
+    assert CycNum(30030, (1, 2)).nums == (1, 2) + (0,) * (phi(30030) - 2)
+    assert CycNum(13860, (0, 1)).nums == (0, 1) + (0,) * (phi(13860) - 2)
 
 
 def test_roots_of_unity_basics():
