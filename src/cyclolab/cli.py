@@ -184,7 +184,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
     delta = g.min_degree()
     bound = mann.relation_count_bound(args.k)
     floor = distgraph.paths_lower_bound(delta, args.k)
-    rel_applicable = args.mode == "unit" or max_col <= 2
+    rel_applicable = distgraph.relation_count_applies(args.mode, max_col)
     rel_holds = pair_max <= bound if rel_applicable else None
     # the continuation floor is pure subset-sum counting, so it always applies,
     # but only to plain irredundant enumeration (shortness prunes further)

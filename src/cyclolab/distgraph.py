@@ -244,13 +244,14 @@ class PathRecord:
     shortest: bool
 
 
-def paths_lower_bound(delta: int, k: int) -> int:
+def paths_lower_bound(delta, k: int):
     """prod over l < k of max(0, delta - 2^l + 1).
 
     At step l of an irredundant path, at most 2^l - 1 of at least delta
     continuations are excluded by subset-sum cancellation, so a graph of
     minimum degree delta admits at least this many k-step irredundant
-    paths from every vertex.
+    paths from every vertex.  An int delta gives an int; delta may also
+    be fractional, as in the floor discounted by collinearity.
     """
     if delta < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
@@ -258,6 +259,12 @@ def paths_lower_bound(delta: int, k: int) -> int:
     for level in range(k):
         out *= max(0, delta - (1 << level) + 1)
     return out
+
+
+def relation_count_applies(mode: str, max_collinear: int) -> bool:
+    """Does the relation-count ceiling apply?  The paper's path bound covers
+    unit distances, and rational distances when no three points lie on a line."""
+    return mode == "unit" or max_collinear <= 2
 
 
 def _admissible_shortest(g: DistanceGraph, p: int, u: int, prefix, scope: str) -> bool:
@@ -514,54 +521,28 @@ def analyze(ps: PointSet, mode: str, k: int = 2) -> AnalysisReport:
 
     two_path_max, _ = noncollinear_two_path_stats(g)
 
-    delta_for_bound = sub_delta if sub_delta is not None else 0
-    continuation = paths_lower_bound(delta_for_bound, k)
-    discounted = 1.0
-    col_div = max(max_col, 1)
-    for level in range(k):
-        discounted *= max(0.0, delta_for_bound / col_div - (1 << level) + 1)
-
+    delta = sub_delta or 0
     bounds = {
         "relation_count": relation_count_bound(k),
         "two_path": relation_count_bound(2),
-        "continuation": continuation,
-        "continuation_discounted": discounted,
+        "continuation": paths_lower_bound(delta, k),
+        "continuation_discounted": float(paths_lower_bound(delta / max(max_col, 1), k)),
     }
 
-    ceilings = {}
-    rel_applicable = mode == "unit" or max_col <= 2
-    ceilings["relation_count"] = {
-        "applicable": rel_applicable,
-        "holds": (pair_max <= bounds["relation_count"]) if rel_applicable else None,
-    }
-    ceilings["two_path"] = {
-        "applicable": True,
-        "holds": two_path_max <= bounds["two_path"],
-    }
-    peel_applicable = e > 0
-    ceilings["peeling"] = {
-        "applicable": peel_applicable,
-        "holds": (
-            sub_delta is not None
-            and sub_delta >= threshold
-            and Fraction(sub.edge_count) > Fraction(e, 2)
-        )
-        if peel_applicable
-        else None,
-    }
-    cont_applicable = sub.n > 0
-    ceilings["continuation"] = {
-        "applicable": cont_applicable,
-        "holds": (
-            (source_min is None or source_min >= continuation)
-            if cont_applicable
-            else None
+    # name: (applicable, holds), in report order
+    verdicts = {
+        "relation_count": (
+            relation_count_applies(mode, max_col),
+            pair_max <= bounds["relation_count"],
         ),
+        "two_path": (True, two_path_max <= bounds["two_path"]),
+        "peeling": (e > 0, sub_delta is not None and sub_delta >= threshold and 2 * sub.edge_count > e),
+        "continuation": (sub.n > 0, source_min is None or source_min >= bounds["continuation"]),
     }
-
-    all_hold = all(
-        v["holds"] for v in ceilings.values() if v["applicable"]
-    )
+    ceilings = {
+        name: {"applicable": applicable, "holds": holds if applicable else None}
+        for name, (applicable, holds) in verdicts.items()
+    }
 
     return AnalysisReport(
         provenance_name=ps.provenance.get("name", ""),
@@ -583,5 +564,5 @@ def analyze(ps: PointSet, mode: str, k: int = 2) -> AnalysisReport:
         two_path_noncollinear_max=two_path_max,
         bounds=bounds,
         ceilings=ceilings,
-        all_ceilings_hold=all_hold,
+        all_ceilings_hold=all(holds for applicable, holds in verdicts.values() if applicable),
     )

@@ -255,22 +255,20 @@ def _term_rows(roots, coeffs, conductor=1):
 def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
     """First nonempty proper index subset of `rows` summing to zero, or None.
 
-    The scan is incremental over subsets containing each newest row, so
-    every subset is formed exactly once.  More than `cap` rows are refused.
+    Subsets are tried in bit-mask order (index i is bit i): entry mask of
+    one table of subset sums is the sum of the rows whose bits mask sets.
+    More than `cap` rows are refused.
     """
     k = len(rows)
     if k > cap:
         raise CapExceeded(f"subset scan capped at {cap} terms, got {k}")
     # a tested subset has at most k terms
-    entries = []
-    for i, v in enumerate(pack_vectors(rows, k)):
-        fresh = [((i,), v)]
-        for idx, s in entries:
-            fresh.append((idx + (i,), s + v))
-        for idx, s in fresh:
-            if len(idx) < k and not s:
-                return idx
-        entries.extend(fresh)
+    sums = [0]
+    for v in pack_vectors(rows, k):
+        sums += [s + v for s in sums]
+    for mask in range(1, len(sums) - 1):
+        if not sums[mask]:
+            return tuple(i for i in range(k) if mask >> i & 1)
     return None
 
 

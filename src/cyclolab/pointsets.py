@@ -20,6 +20,7 @@ from operator import add
 from . import geometry
 from .cyclotomic import CycNum, _from_ints, _map_ints, change_conductor, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
+from .mann import WORK_BUDGET
 
 DOUBLING_CAP = 8
 POINT_BUDGET = 5000
@@ -259,6 +260,14 @@ def parallel_lines(lines: int, per_line: int, seed: int = 0) -> PointSet:
         raise WorkBudgetExceeded(
             lines * per_line, POINT_BUDGET,
             f"{lines * per_line} points on parallel lines exceed the {POINT_BUDGET}-point limit",
+        )
+    # placing line j walks every pair of the j * per_line points before it
+    pairs = sum(math.comb(j * per_line, 2) for j in range(lines))
+    if pairs > WORK_BUDGET:
+        raise WorkBudgetExceeded(
+            pairs, WORK_BUDGET,
+            f"placing {lines} lines of {per_line} points walks {pairs} point pairs, "
+            f"over the {WORK_BUDGET}-pair limit",
         )
     if not isinstance(seed, int):
         raise ValueError("seed must be an integer")

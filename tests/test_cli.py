@@ -119,6 +119,22 @@ def test_gen_point_limit_error_gives_no_budget_advice(capsys, args, build, messa
         build(100, 100)
 
 
+@pytest.mark.parametrize("lines, per_line", [(70, 70), (2500, 2)])
+def test_gen_lines_refuses_pair_walk_over_budget(monkeypatch, capsys, lines, per_line):
+    # within the point limit, but placing the lines walks over 10^8 pairs;
+    # the refusal must come before any point is placed
+    def no_placement():
+        raise AssertionError("placement started")
+
+    monkeypatch.setattr(pointsets, "_rational_stream", no_placement)
+    with pytest.raises(WorkBudgetExceeded):
+        pointsets.parallel_lines(lines, per_line)
+    assert run(["gen", "lines", "--lines", lines, "--per-line", per_line]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "raise the budget" not in err
+
+
 def test_gen_grid_default_filename(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["gen", "grid"]) == 0
@@ -435,6 +451,18 @@ def test_paths_grid(grid33, tmp_path, capsys):
     assert doc["min_degree"] == 4 and doc["max_collinear"] == 3
     assert doc["source_totals"] == [12] * 9
     assert doc["bounds"] == {"relation_count": 144, "continuation": 12}
+
+
+def test_relation_count_condition_is_shared(grid33, tmp_path, capsys, monkeypatch):
+    # unit mode: the ceiling applies unless the shared condition says otherwise
+    monkeypatch.setattr(distgraph, "relation_count_applies", lambda mode, max_collinear: False)
+    report = tmp_path / "report.json"
+    assert run(["analyze", "--in", grid33, "--mode", "unit", "--out", report]) == 0
+    doc = serialize.load_json(report)
+    assert doc["ceilings"]["relation_count"] == {"applicable": False, "holds": None}
+    capsys.readouterr()
+    assert run(["paths", "--in", grid33, "--mode", "unit", "--k", 2]) == 0
+    assert "ceiling relation_count: not applicable" in capsys.readouterr().out
 
 
 def test_paths_shortest_drops_floor(grid33, capsys):

@@ -620,6 +620,43 @@ def test_analyze_excess_exponent():
     assert rep.excess_exponent == pytest.approx(math.log(18) / math.log(9) - 1)
 
 
+def _discounted_loop(delta, max_col, k):
+    """The continuation floor discounted by collinearity, as a float loop."""
+    out = 1.0
+    for level in range(k):
+        out *= max(0.0, delta / max(max_col, 1) - (1 << level) + 1)
+    return out
+
+
+def test_continuation_discounted_matches_float_loop():
+    for delta, max_col, k in itertools.product(range(21), range(1, 7), range(1, 9)):
+        got = float(paths_lower_bound(delta / max_col, k))
+        assert repr(got) == repr(_discounted_loop(delta, max_col, k)), (delta, max_col, k)
+
+
+@pytest.mark.parametrize(
+    "ps, mode",
+    [
+        (square_grid(3, 3), "rational"),
+        (square_grid(4, 4), "unit"),
+        (parallel_lines(3, 4, seed=1), "rational"),
+        (erdos_purdy(4), "unit"),
+    ],
+    ids=["grid33", "grid44-unit", "lines", "ep4"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_analyze_continuation_discounted_matches_float_loop(ps, mode, k):
+    rep = analyze(ps, mode, k)
+    want = _discounted_loop(rep.peeled_min_degree or 0, rep.max_collinear, k)
+    assert repr(rep.bounds["continuation_discounted"]) == repr(want)
+
+
+def test_relation_count_applies():
+    assert distgraph.relation_count_applies("unit", 5)
+    assert distgraph.relation_count_applies("rational", 2)
+    assert not distgraph.relation_count_applies("rational", 3)
+
+
 # ---------------------------------------------------------------------------
 # synthetic random graphs driven through the peeling contract
 # ---------------------------------------------------------------------------
