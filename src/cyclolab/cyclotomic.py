@@ -616,15 +616,11 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
     return RationalAngleForm(Fraction(abs(g), w.den), e, m)
 
 
-def _root_turn(r) -> Optional[Fraction]:
-    """e/M when r = zeta_M^e, as a fraction of a full turn; None when r is
-    not a root of unity (zero included)."""
-    return _turn(r.conductor, r.nums, r.den)
-
-
 @lru_cache(maxsize=1 << 12)
-def _turn(conductor, nums, den):
-    """`_root_turn` of the element nums / den at `conductor`, memoised."""
+def _turn(conductor, nums, den) -> Optional[Fraction]:
+    """e/M when the element nums / den at `conductor` is zeta_M^e, as a
+    fraction of a full turn; None when it is not a root of unity (zero
+    included).  Memoised: relations over one modulus share their roots."""
     if not any(nums):
         return None
     form = classify_rational_angle(_from_ints(conductor, nums, den))

@@ -30,18 +30,28 @@ MODES = ("unit", "rational")
 
 @dataclass
 class DistanceGraph:
-    """A PointSet together with its rational-angle adjacency.
+    """A PointSet together with its rational-angle edges.
 
     `edges` maps index pairs (i, j) with i < j to the classified form of
     points[j] - points[i]; the reverse orientation is the same length
-    with the exponent advanced by half a turn.
+    with the exponent advanced by half a turn.  `adjacency`, the sorted
+    neighbours of each vertex, is derived from the edges on construction.
+    The points' scaled vectors and residues are the point set's own
+    (`PointSet.scaled`, `PointSet.residues`).
     """
 
     pointset: PointSet
     mode: str
     edges: dict
-    adjacency: tuple
-    _sq: dict = field(default_factory=dict, repr=False, compare=False)
+    adjacency: tuple = field(init=False)
+    _sq: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        adj = [[] for _ in range(len(self.pointset))]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
 
     @property
     def n(self) -> int:
@@ -88,7 +98,7 @@ class DistanceGraph:
         edge, so it has at most n edges, 2n signed point terms.  Every
         coordinate then stays within (B - 1) / 2 and zero tests stay exact.
         """
-        return pack_vectors(geometry.common_scale(self.pointset.points), 2 * self.n)
+        return pack_vectors(self.pointset.scaled[0], 2 * self.n)
 
 
 def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
@@ -98,8 +108,8 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
     angle; "unit" mode further requires length exactly 1.
 
     Pairs are screened first by the residue pairs (F, G, p) =
-    `ps.collinear.residues` of the points scaled by their common
-    denominator den.  For points i < j let f = F_j - F_i and g = G_j - G_i,
+    `ps.residues` of the points scaled by their common denominator den
+    (`ps.scaled`).  For points i < j let f = F_j - F_i and g = G_j - G_i,
     the residues of v = den (x_j - x_i) and of conj(v) under zeta_N -> omega.
     If v = q zeta_M^e (M = lcm(2, N)), then v = zeta_M^(2e) conj(v), and
     zeta_M^(2e) is an h-th root of unity, h = M / 2; so f^h != g^h (mod p)
@@ -110,13 +120,11 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = len(ps)
-    vecs = geometry.common_scale(ps.points)
-    den = math.lcm(*(p.den for p in ps.points))
-    F, G, p = ps.collinear.residues
+    vecs, den = ps.scaled
+    F, G, p = ps.residues
     h = math.lcm(2, ps.conductor) // 2
     unit = mode == "unit"
     edges = {}
-    adj = [[] for _ in range(n)]
     for i in range(n):
         fi, gi = F[i], G[i]
         for j in range(i + 1, n):
@@ -129,14 +137,7 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
             if unit and form.length != 1:
                 continue
             edges[(i, j)] = form
-            adj[i].append(j)
-            adj[j].append(i)
-    return DistanceGraph(
-        pointset=ps,
-        mode=mode,
-        edges=edges,
-        adjacency=tuple(tuple(a) for a in adj),
-    )
+    return DistanceGraph(pointset=ps, mode=mode, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +186,9 @@ def min_degree_subgraph(g: DistanceGraph, threshold) -> DistanceGraph:
         },
         seed=g.pointset.seed,
     )
-    edges = {}
-    adj = [[] for _ in survivors]
     # survivors are sorted, so reindexing preserves the i < j orientation
-    for (i, j), form in g.edges.items():
-        if i in index and j in index:
-            edges[(index[i], index[j])] = form
-    for (a, b) in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return DistanceGraph(
-        pointset=sub_ps,
-        mode=g.mode,
-        edges=edges,
-        adjacency=tuple(tuple(sorted(x)) for x in adj),
-    )
+    edges = {(index[i], index[j]): form for (i, j), form in g.edges.items() if i in index and j in index}
+    return DistanceGraph(pointset=sub_ps, mode=g.mode, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +202,9 @@ def max_points_on_line(ps: PointSet):
     anchor with `geometry.lines_through`; the anchor with the lowest index
     on the richest line sees that line's full membership, so the maximum
     over anchors is exact.  Membership is decided by the point set's
-    exact triple test `ps.collinear` and its residue pairs.  Returns
-    (count, sorted tuple of member indices).  Needs at least 2 points.
+    exact triple test `ps.collinear` and its residue pairs `ps.residues`.
+    Returns (count, sorted tuple of member indices).  Needs at least 2
+    points.
     """
     n = len(ps)
     if n < 2:
@@ -222,7 +212,7 @@ def max_points_on_line(ps: PointSet):
     collinear = ps.collinear
     best = 0, None
     for i in range(n - 1):
-        steps = geometry.lines_through(i, range(i + 1, n), *collinear.residues, partial(collinear, i))
+        steps = geometry.lines_through(i, range(i + 1, n), *ps.residues, partial(collinear, i))
         # a line is yielded first as it starts, and is full once steps run out
         line = max([line for line in steps if len(line) == 1], key=len)
         if 1 + len(line) > best[0]:

@@ -13,6 +13,8 @@ onto Z/p, so a nonzero residue of S proves a triple is not collinear.
 coordinates are small enough, and by the exact `pair_vec` otherwise.
 `lines_through` groups points into lines through an anchor by one
 residue direction key per point, for the line scan and the doubling.
+The int vectors and residue pairs these read belong to the point set:
+`PointSet.scaled` and `PointSet.residues` compute them once.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ def pair_vec(x, y, n: int) -> tuple:
     return tuple(_power_sum(itertools.chain(terms, [(-e, -c) for e, c in terms]), n))
 
 
-def common_scale(points):
-    """The points' int coefficient vectors over their common denominator."""
-    den = math.lcm(*(p.den for p in points))
-    return [[x * (den // p.den) for x in p.nums] for p in points]
-
-
 def exact_collinear(x, y, z, n: int) -> bool:
     """S(y - x, z - x) == 0 for int coefficient vectors x, y, z at conductor n."""
     u = [s - t for s, t in zip(y, x)]
@@ -49,14 +45,12 @@ def exact_collinear(x, y, z, n: int) -> bool:
     return not any(pair_vec(u, v, n))
 
 
-def collinearity(points):
-    """The exact triple test collinear(i, j, k) on points of one conductor n.
-
-    The points are scaled by their common denominator to int vectors x_i
-    (a positive scale keeps every collinearity), and each gets one
-    residue pair F_i = x_i(omega), G_i = conj(x_i)(omega) mod p from
-    `residue_field(n)`, kept as `collinear.residues = (F, G, p)` on the
-    returned test.  The residue of S = S(x_j - x_i, x_k - x_i) is
+def collinearity(vecs, n: int, F, G, p: int):
+    """The exact triple test collinear(i, j, k) on int vectors x_i at
+    conductor n, the points scaled by their common denominator (a positive
+    scale keeps every collinearity), with one residue pair F_i = x_i(omega),
+    G_i = conj(x_i)(omega) mod p per point from `residue_field(n)`.  The
+    residue of S = S(x_j - x_i, x_k - x_i) is
     r = (F_j - F_i)(G_k - G_i) - (G_j - G_i)(F_k - F_i) mod p.
 
     - r != 0: S != 0 under the ring map zeta_n -> omega, so the triple is
@@ -69,10 +63,6 @@ def collinearity(points):
       |N(S)| <= (8 L^2)^phi(n) < p.  So N(S) = 0, and S = 0.
     - r == 0 otherwise: the exact `pair_vec` decides.
     """
-    n = points[0].conductor if points else 1
-    vecs = common_scale(points)
-    p = residue_field(n)[0]
-    F, G = fingerprints(vecs, n, n)
     L = max((sum(map(abs, v)) for v in vecs), default=0)
     certified = (8 * L * L) ** phi(n) < p
 
@@ -82,7 +72,6 @@ def collinearity(points):
             return False
         return certified or exact_collinear(vecs[i], vecs[j], vecs[k], n)
 
-    collinear.residues = F, G, p
     return collinear
 
 

@@ -16,14 +16,13 @@ that the sums it is asked about vanish exactly when the vectors' do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
-    CycNum, _as_fraction, _from_ints, _map_ints, _power_sum, _root_turn, _to_int_scaled, phi,
-    root_of_unity,
+    CycNum, _as_fraction, _from_ints, _map_ints, _power_sum, _to_int_scaled, _turn, phi, root_of_unity,
 )
 from .errors import CapExceeded, WorkBudgetExceeded
 
@@ -186,13 +185,15 @@ class RelationTuple:
     When `minimal` is set, no nonempty proper subset of the weighted
     terms sums to zero; the constructor re-checks that claim.  Both
     checks run on int rows of the roots (`_term_rows`), with no field
-    products.
+    products.  `turns` holds each root zeta_M^e as its turn e/M, read
+    once by the constructor; every check and writer of the tuple uses it.
     """
 
     roots: tuple
     coeffs: tuple
     target: CycNum
     minimal: bool = False
+    turns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = tuple(self.roots)
@@ -206,7 +207,15 @@ class RelationTuple:
             raise ValueError("roots and coeffs must be nonempty and equal length")
         if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
-        rows, conductor, den = _term_rows(roots, coeffs, target.conductor)
+        turns = []
+        for r in roots:
+            if not isinstance(r, CycNum):
+                raise ValueError("roots must be CycNum values")
+            turn = _turn(r.conductor, r.nums, r.den)
+            if turn is None:
+                raise ValueError(f"{r!r} is not a root of unity")
+            turns.append(turn)
+        rows, conductor, den = _term_rows(turns, coeffs, target.conductor)
         lifted, tden = _map_ints(target.nums, target.conductor, conductor), target.den
         # the rows sum to den * (weighted sum), the target is lifted / tden
         if [tden * x for x in map(sum, zip(*rows))] != [den * x for x in lifted]:
@@ -214,6 +223,7 @@ class RelationTuple:
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "turns", tuple(turns))
         if self.minimal and _first_vanishing_subset(rows) is not None:
             raise ValueError("tuple marked minimal but a proper subsum vanishes")
 
@@ -231,21 +241,13 @@ class MannCertificate:
     witness: Optional[tuple] = None
 
 
-def _term_rows(roots, coeffs, conductor=1):
-    """Terms c * zeta_M^e as the int rows of zeta_n^(e n/M) (`_power_sum`),
-    returned with n, the lcm of `conductor` and the orders M, and the
-    coefficients' common denominator.  Rows are scaled by c times that
-    denominator, so they sum to it times the weighted sum.  Raises
-    ValueError on a root that is not a root of unity.
+def _term_rows(turns, coeffs, conductor=1):
+    """Terms c * zeta_M^e, given as turns e/M, as the int rows of
+    zeta_n^(e n/M) (`_power_sum`), returned with n, the lcm of `conductor`
+    and the orders M, and the coefficients' common denominator.  Rows are
+    scaled by c times that denominator, so they sum to it times the
+    weighted sum.
     """
-    turns = []
-    for r in roots:
-        if not isinstance(r, CycNum):
-            raise ValueError("roots must be CycNum values")
-        turn = _root_turn(r)
-        if turn is None:
-            raise ValueError(f"{r!r} is not a root of unity")
-        turns.append(turn)
     n = math.lcm(conductor, *(t.denominator for t in turns))
     scaled, den = _to_int_scaled(coeffs)
     index = [t.numerator * n // t.denominator for t in turns]
@@ -275,7 +277,7 @@ def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
 def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
     """First nonempty proper index subset of t whose weighted sum is zero, as
     sorted indices, or None.  Tuples longer than `cap` are refused."""
-    return _first_vanishing_subset(_term_rows(t.roots, t.coeffs)[0], cap)
+    return _first_vanishing_subset(_term_rows(t.turns, t.coeffs)[0], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def certify_mann(t: RelationTuple) -> MannCertificate:
         raise ValueError("not a minimal vanishing sum: minimality not established")
     k = len(t)
     m = mann_modulus(k)
-    turns = [_root_turn(r) for r in t.roots]
+    turns = t.turns
     for i in range(k):
         for j in range(i + 1, k):
             # the ratio turns by t_i - t_j, so its order divides m iff
@@ -576,11 +578,9 @@ def certify_extension(t1: RelationTuple, t2: RelationTuple):
     if t1.target != t2.target:
         raise ValueError("targets differ")
     m = _primorial_upto(len(t1) + len(t2))
-    turns1 = [_root_turn(r) for r in t1.roots]
     witness = {}
-    for j, r2 in enumerate(t2.roots):
-        turn2 = _root_turn(r2)
-        for i, turn1 in enumerate(turns1):
+    for j, turn2 in enumerate(t2.turns):
+        for i, turn1 in enumerate(t1.turns):
             if ((turn2 - turn1) * m).denominator == 1:
                 witness[j] = i
                 break

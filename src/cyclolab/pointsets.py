@@ -7,6 +7,9 @@ points spread over horizontal lines with no three points collinear
 across distinct lines.  All constructions are reproducible from their
 parameters (and seed, where one applies).  The doubling screens its
 translates by `geometry.lines_through` and confirms collinearity exactly.
+A `PointSet` owns the views the geometry and the graph read: its points
+as int vectors over their common denominator (`scaled`), one residue
+pair per point (`residues`) and the exact triple test (`collinear`).
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ class PointSet:
     """A finite list of distinct plane points over one cyclotomic field.
 
     `points` all carry exactly the declared conductor, and their order is
-    significant: serialization preserves it byte for byte.  `collinear`
-    is the set's exact triple test on point indices; it keeps one residue
-    pair per point, no table over pairs.
+    significant: serialization preserves it byte for byte.  The derived
+    views are computed once, on first use: `scaled`, `residues` and
+    `collinear`, the set's exact triple test on point indices, which keeps
+    one residue pair per point, no table over pairs.
     """
 
     conductor: int
@@ -61,10 +65,26 @@ class PointSet:
         return len(self.points)
 
     @cached_property
+    def scaled(self) -> tuple:
+        """(vecs, den): the points as int coefficient tuples over their
+        common denominator den; a point already over den shares its nums."""
+        den = math.lcm(*(p.den for p in self.points))
+        vecs = tuple(p.nums if p.den == den else tuple(x * (den // p.den) for x in p.nums) for p in self.points)
+        return vecs, den
+
+    @cached_property
+    def residues(self) -> tuple:
+        """(F, G, p): the residues x(omega) and conj(x)(omega) mod p of each
+        scaled point x, with (p, omega) = `geometry.residue_field(conductor)`."""
+        n = self.conductor
+        F, G = geometry.fingerprints(self.scaled[0], n, n)
+        return F, G, geometry.residue_field(n)[0]
+
+    @cached_property
     def collinear(self):
-        """The exact triple test collinear(i, j, k) on point indices, built
-        on first use (see `geometry.collinearity`)."""
-        return geometry.collinearity(self.points)
+        """The exact triple test collinear(i, j, k) on point indices (see
+        `geometry.collinearity`)."""
+        return geometry.collinearity(self.scaled[0], self.conductor, *self.residues)
 
 
 def make_pointset(points, name: str, params: dict, seed: int = 0) -> PointSet:

@@ -17,7 +17,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import floordiv, mul
 
-from .cyclotomic import CycNum, _from_ints, _root_turn, phi, root_of_unity
+from .cyclotomic import CycNum, _from_ints, phi, root_of_unity
 from .distgraph import MODES, AnalysisReport
 from .errors import WorkBudgetExceeded
 from .mann import WORK_BUDGET, RelationTuple
@@ -154,7 +154,7 @@ def relation_to_obj(t: RelationTuple) -> dict:
         "kind": "relation",
         "k": len(t),
         "conductor": m,
-        "roots": [int(_root_turn(r) * m) for r in t.roots],
+        "roots": [int(turn * m) for turn in t.turns],
         "coeffs": [str(c) for c in t.coeffs],
         "target": cycnum_to_obj(t.target),
         "minimal": t.minimal,

@@ -170,7 +170,6 @@ def test_criterion_4_peeling_lemma(announce):
         else:
             attempts = rng.randrange(1, 3 * n + 1)
         edges = {}
-        adj = [set() for _ in range(n)]
         for _ in range(attempts):
             a, b = rng.randrange(n), rng.randrange(n)
             if a == b:
@@ -179,18 +178,9 @@ def test_criterion_4_peeling_lemma(announce):
             if (i, j) in edges:
                 continue
             edges[(i, j)] = RationalAngleForm(Fraction(j - i), 0, 2)
-            adj[i].add(j)
-            adj[j].add(i)
         if not edges:
             edges[(0, 1)] = RationalAngleForm(ONE, 0, 2)
-            adj[0].add(1)
-            adj[1].add(0)
-        g = DistanceGraph(
-            pointset=row_cache[n],
-            mode="rational",
-            edges=edges,
-            adjacency=tuple(tuple(sorted(s)) for s in adj),
-        )
+        g = DistanceGraph(pointset=row_cache[n], mode="rational", edges=edges)
         e = g.edge_count
         threshold = Fraction(e, 2 * n)
         sub = min_degree_subgraph(g, threshold)

@@ -182,6 +182,22 @@ def test_degrees_and_adjacency():
     assert g.adjacency[0] == (1, 2)
 
 
+def test_graph_adjacency_derives_from_edges():
+    built = build_graph(erdos_purdy(4), "unit")
+    # edges in reverse order still give sorted, symmetric neighbour lists
+    g = DistanceGraph(pointset=built.pointset, mode="unit", edges=dict(reversed(built.edges.items())))
+    assert g.adjacency == built.adjacency
+    assert all(list(nbrs) == sorted(nbrs) for nbrs in g.adjacency)
+    pairs = {(v, u) for v, nbrs in enumerate(g.adjacency) for u in nbrs}
+    assert pairs == set(g.edges) | {(j, i) for i, j in g.edges}
+    with pytest.raises(TypeError):
+        DistanceGraph(pointset=built.pointset, mode="unit", edges={}, adjacency=built.adjacency)
+    for seed in range(6):
+        g = synthetic_graph(seed)
+        sub = min_degree_subgraph(g, Fraction(g.edge_count, 2 * g.n))
+        assert sub.adjacency == DistanceGraph(pointset=sub.pointset, mode=sub.mode, edges=sub.edges).adjacency
+
+
 # ---------------------------------------------------------------------------
 # peeling
 # ---------------------------------------------------------------------------
@@ -303,8 +319,8 @@ def test_line_scan_confirms_only_residue_collisions(monkeypatch):
     calls = []
     real = geometry.collinearity
 
-    def counting(points):
-        test = real(points)
+    def counting(*args):
+        test = real(*args)
 
         @functools.wraps(test)
         def collinear(*triple):
@@ -667,7 +683,6 @@ def synthetic_graph(seed):
     n = rng.randrange(2, 60)
     ps = integer_row(n)
     edges = {}
-    adj = [set() for _ in range(n)]
     for _ in range(rng.randrange(1, 4 * n)):
         a, b = rng.randrange(n), rng.randrange(n)
         if a == b:
@@ -676,18 +691,9 @@ def synthetic_graph(seed):
         if (i, j) in edges:
             continue
         edges[(i, j)] = RationalAngleForm(Fraction(j - i), 0, 2)
-        adj[i].add(j)
-        adj[j].add(i)
     if not edges:
         edges[(0, 1)] = RationalAngleForm(Fraction(1), 0, 2)
-        adj[0].add(1)
-        adj[1].add(0)
-    return DistanceGraph(
-        pointset=ps,
-        mode="rational",
-        edges=edges,
-        adjacency=tuple(tuple(sorted(s)) for s in adj),
-    )
+    return DistanceGraph(pointset=ps, mode="rational", edges=edges)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -339,7 +339,7 @@ def test_root_turn_cache_matches_brute_classify():
         for r in _turn_probes():
             brute = oracles.brute_classify(r)
             want = Fraction(brute[1], brute[2]) if brute and brute[0] == 1 else None
-            assert cyclotomic._root_turn(r) == want, r
+            assert cyclotomic._turn(r.conductor, r.nums, r.den) == want, r
     assert cyclotomic._turn.cache_info().hits > 0
 
 
@@ -349,10 +349,51 @@ def test_cached_non_root_still_refused():
     half = root_of_unity(1, 12) * Fraction(1, 2)
     for _ in range(2):
         # the second refusal reads the cached None
-        assert cyclotomic._root_turn(half) is None
+        assert cyclotomic._turn(half.conductor, half.nums, half.den) is None
         message = r"^CycNum\(12, \[0, 1/2, 0, 0\]\) is not a root of unity$"
         with pytest.raises(ValueError, match=message):
             RelationTuple(roots=(half,), coeffs=(ONE,), target=half)
+
+
+def test_relation_turns_match_brute_classify():
+    for r in _turn_probes():
+        brute = oracles.brute_classify(r)
+        if brute and brute[0] == 1:
+            t = RelationTuple(roots=(r,), coeffs=(ONE,), target=r)
+            assert t.turns == (Fraction(brute[1], brute[2]),), r
+        else:
+            with pytest.raises(ValueError, match="is not a root of unity$"):
+                RelationTuple(roots=(r,), coeffs=(ONE,), target=r)
+
+
+def test_relation_turns_are_read_once(monkeypatch):
+    from cyclolab import cyclotomic, mann, serialize
+
+    rels = enumerate_minimal_vanishing_sums(3, 12, (ONE, -ONE))
+    hits = enumerate_target_relations(root_of_unity(1, 12) + 1, 2, 12, (ONE,))
+    loose = RelationTuple(
+        roots=(CycNum.one(), CycNum.from_rational(-1), root_of_unity(1, 4)),
+        coeffs=(ONE, ONE, ONE),
+        target=root_of_unity(1, 4),
+    )
+
+    def results():
+        return (
+            [certify_mann(t) for t in rels],
+            certify_extension(hits[0], hits[1]),
+            [subsum_vanishes(t) for t in rels + hits + [loose]],
+            serialize.canonical_json(serialize.relations_to_obj(rels + hits + [loose])),
+        )
+
+    before = results()
+    assert before[2][-1] == (0, 1)
+
+    def refuse(*args):
+        raise AssertionError("a root read as a turn after construction")
+
+    monkeypatch.setattr(cyclotomic, "_turn", refuse)
+    monkeypatch.setattr(mann, "_turn", refuse, raising=False)
+    assert results() == before
 
 
 def test_relation_tuple_minimal_flag_rechecked():

@@ -1,6 +1,7 @@
 """Point set constructions: doubling, grids, parallel lines."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, count
@@ -426,3 +427,36 @@ def test_line_scan_over_a_tiny_prime_matches_brute_force(monkeypatch):
             keyless += G[i] == G[j]
             both += G[i] == G[j] and F[i] == F[j]
     assert keyless > both > 0
+
+
+# ---------------------------------------------------------------------------
+# the derived views of a point set
+# ---------------------------------------------------------------------------
+
+def _mixed_denominators():
+    pts = [Fraction(1, 2), Fraction(-2, 3), CycNum(4, (Fraction(1, 5), Fraction(3, 4))), root_of_unity(1, 4)]
+    return make_pointset(pts, "mixed", {})
+
+
+@pytest.mark.parametrize("build", [lambda: erdos_purdy(5), _mixed_denominators])
+def test_pointset_views_match_independent_scaling(build):
+    ps = build()
+    n = ps.conductor
+    den = math.lcm(*(c.denominator for p in ps.points for c in p.coeffs))
+    vecs = [[int(c * den) for c in p.coeffs] for p in ps.points]
+    got_vecs, got_den = ps.scaled
+    assert ([list(v) for v in got_vecs], got_den) == (vecs, den)
+    assert ps.residues == (*geometry.fingerprints(vecs, n, n), geometry.residue_field(n)[0])
+    assert not hasattr(ps.collinear, "residues")
+
+
+def test_pointset_fingerprints_its_points_once(monkeypatch):
+    calls = []
+    real = geometry.fingerprints
+    monkeypatch.setattr(geometry, "fingerprints", lambda *args: calls.append(args[1:]) or real(*args))
+    for ps in (erdos_purdy(4), _mixed_denominators(), square_grid(3, 3)):
+        calls.clear()
+        build_graph(ps, "rational")
+        max_points_on_line(ps)
+        ps.collinear(0, 1, 2)
+        assert calls == [(ps.conductor, ps.conductor)], ps.provenance["name"]
