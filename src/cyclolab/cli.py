@@ -27,66 +27,6 @@ def _parse_coeffs(text: str) -> tuple:
     return parts
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="cyclolab",
-        description="rational-angle point sets, vanishing sums, and path ceilings",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a point set file")
-    gsub = gen.add_subparsers(dest="construction", required=True)
-
-    g1 = gsub.add_parser("erdos-purdy", help="translation doubling of {0, 1}")
-    g1.add_argument("--levels", type=int, default=3)
-    g1.add_argument("--out", default=None)
-
-    g2 = gsub.add_parser("grid", help="axis-aligned square grid")
-    g2.add_argument("--rows", type=int, default=3)
-    g2.add_argument("--cols", type=int, default=3)
-    g2.add_argument("--spacing", default="1", help="rational spacing, e.g. 1 or 1/2")
-    g2.add_argument("--out", default=None)
-
-    g3 = gsub.add_parser("lines", help="points spread over parallel horizontal lines")
-    g3.add_argument("--lines", type=int, default=3)
-    g3.add_argument("--per-line", type=int, default=3)
-    g3.add_argument("--seed", type=int, default=0)
-    g3.add_argument("--out", default=None)
-
-    an = sub.add_parser("analyze", help="full graph analysis of a point set file")
-    an.add_argument("--in", dest="input_path", required=True)
-    an.add_argument("--mode", choices=distgraph.MODES, default="rational")
-    an.add_argument("--k", type=int, default=2)
-    an.add_argument("--out", default=None, help="report JSON path")
-    an.add_argument("--csv", default=None, help="report CSV path")
-
-    mn = sub.add_parser("mann", help="enumerate and certify minimal vanishing sums")
-    mn.add_argument("--k", type=int, required=True)
-    mn.add_argument("--modulus", type=int, required=True)
-    mn.add_argument("--coeffs", default="1", help="comma separated rationals")
-    mn.add_argument("--budget", type=int, default=mann.WORK_BUDGET)
-    mn.add_argument("--out", default=None, help="relation list JSON path")
-    mn.add_argument(
-        "--target-scan",
-        action="store_true",
-        help="also sweep two-term targets and report the census maximum",
-    )
-
-    pa = sub.add_parser("paths", help="irredundant path statistics of a point set file")
-    pa.add_argument("--in", dest="input_path", required=True)
-    pa.add_argument("--mode", choices=distgraph.MODES, default="rational")
-    pa.add_argument("--k", type=int, default=2)
-    pa.add_argument("--shortest", action="store_true")
-    pa.add_argument("--scope", choices=("all", "neighbors"), default="all")
-    pa.add_argument("--out", default=None, help="path statistics JSON path")
-
-    rp = sub.add_parser("report", help="render a stored analysis report as CSV")
-    rp.add_argument("--in", dest="input_path", required=True)
-    rp.add_argument("--csv", default=None, help="CSV output path")
-
-    return top
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -242,20 +182,123 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "gen": cmd_gen,
-    "analyze": cmd_analyze,
-    "mann": cmd_mann,
-    "paths": cmd_paths,
-    "report": cmd_report,
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+def _add_erdos_purdy(p, argv):
+    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--out", default=None)
+
+
+def _add_grid(p, argv):
+    p.add_argument("--rows", type=int, default=3)
+    p.add_argument("--cols", type=int, default=3)
+    p.add_argument("--spacing", default="1", help="rational spacing, e.g. 1 or 1/2")
+    p.add_argument("--out", default=None)
+
+
+def _add_lines(p, argv):
+    p.add_argument("--lines", type=int, default=3)
+    p.add_argument("--per-line", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+
+
+# construction -> (help, argument adder), in the order `gen --help` lists them
+_CONSTRUCTIONS = {
+    "erdos-purdy": ("translation doubling of {0, 1}", _add_erdos_purdy),
+    "grid": ("axis-aligned square grid", _add_grid),
+    "lines": ("points spread over parallel horizontal lines", _add_lines),
 }
 
 
+def _add_gen(p, argv):
+    _add_subcommands(p, "construction", _CONSTRUCTIONS, argv)
+
+
+def _add_analyze(p, argv):
+    p.add_argument("--in", dest="input_path", required=True)
+    p.add_argument("--mode", choices=distgraph.MODES, default="rational")
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--out", default=None, help="report JSON path")
+    p.add_argument("--csv", default=None, help="report CSV path")
+
+
+def _add_mann(p, argv):
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument("--coeffs", default="1", help="comma separated rationals")
+    p.add_argument("--budget", type=int, default=mann.WORK_BUDGET)
+    p.add_argument("--out", default=None, help="relation list JSON path")
+    p.add_argument(
+        "--target-scan",
+        action="store_true",
+        help="also sweep two-term targets and report the census maximum",
+    )
+
+
+def _add_paths(p, argv):
+    p.add_argument("--in", dest="input_path", required=True)
+    p.add_argument("--mode", choices=distgraph.MODES, default="rational")
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--shortest", action="store_true")
+    p.add_argument("--scope", choices=("all", "neighbors"), default="all")
+    p.add_argument("--out", default=None, help="path statistics JSON path")
+
+
+def _add_report(p, argv):
+    p.add_argument("--in", dest="input_path", required=True)
+    p.add_argument("--csv", default=None, help="CSV output path")
+
+
+# command -> (help, argument adder, handler), in the order `--help` lists them
+_COMMANDS = {
+    "gen": ("generate a point set file", _add_gen, cmd_gen),
+    "analyze": ("full graph analysis of a point set file", _add_analyze, cmd_analyze),
+    "mann": ("enumerate and certify minimal vanishing sums", _add_mann, cmd_mann),
+    "paths": ("irredundant path statistics of a point set file", _add_paths, cmd_paths),
+    "report": ("render a stored analysis report as CSV", _add_report, cmd_report),
+}
+
+
+def _add_subcommands(parser, dest, table, argv):
+    """Register every entry of `table` as a subcommand of parser, with its help.
+
+    Only the first entry that argv names gets its arguments, from its adder
+    and the argv after the name; the others parse nothing, so they cost only
+    their registration.  With argv None every entry gets its arguments.
+    """
+    sub = parser.add_subparsers(dest=dest, required=True)
+    named = None if argv is None else next((i for i, a in enumerate(argv) if a in table), None)
+    for name, (help_text, add, *_) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        if argv is None:
+            add(p, None)
+        elif named is not None and argv[named] == name:
+            add(p, argv[named + 1 :])
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv, or with argv None the parser of every subcommand.
+
+    Both read argv alike: neither the top parser nor `gen` has an option
+    that takes a value, so argparse either runs the first token that names
+    a subcommand or fails before any subcommand parses.
+    """
+    top = argparse.ArgumentParser(
+        prog="cyclolab",
+        description="rational-angle point sets, vanishing sums, and path ceilings",
+    )
+    _add_subcommands(top, "command", _COMMANDS, argv)
+    return top
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

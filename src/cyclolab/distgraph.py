@@ -93,12 +93,21 @@ class DistanceGraph:
         """Packed int of each point, with depth 2n (see pack_vectors).
 
         P is additive, so points[b] - points[a] packs to _packs[b] - _packs[a].
-        A census stack is an irredundant path, so its vertices are distinct
-        and it holds at most n - 1 edges; a tested sum adds one candidate
-        edge, so it has at most n edges, 2n signed point terms.  Every
-        coordinate then stays within (B - 1) / 2 and zero tests stay exact.
+        The census keeps the positions _packs[source] + P(sum of T) for the
+        subsets T of its stack's edges, and steps to u only when _packs[u]
+        is not one of them; each test is the zero test of u - source - sum
+        of T.  A census stack is an irredundant path, so its vertices are
+        distinct and it holds at most n - 1 edges; the test then has at most
+        2 + 2(n - 1) = 2n signed point terms.  Every coordinate stays below
+        B / 2 in absolute value and zero tests stay exact.
         """
         return pack_vectors(self.pointset.scaled[0], 2 * self.n)
+
+    @cached_property
+    def _near(self) -> tuple:
+        """For each vertex, a dict from each neighbour's pack to that neighbour."""
+        packs = self._packs
+        return tuple({packs[u]: u for u in adj} for adj in self.adjacency)
 
 
 def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
@@ -288,18 +297,33 @@ def _check_path_args(k: int, vertex_scope: str) -> None:
 
 
 def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
+    """Endpoint -> count of the irredundant k-edge paths from source, and the
+    collected records.
+
+    The tracker holds the positions reachable from _packs[source] along
+    subsets of the stack's edges; a step to u is irredundant iff _packs[u]
+    is not among them.  Without a per-step rule, the last step is counted
+    in bulk: each vertex u that step k - 1 reaches adds 1 to reach[u] and
+    takes 1 from each neighbour of u that is a position once that step is
+    pushed (one set intersection), and every neighbour of a vertex v gains
+    reach[v] at the end.
+    """
     counts = {}
     records = []
-    tracker = SubsetSumTracker()
-    path = [source]
+    reach = {}
     packs = g._packs
+    adjacency = g.adjacency
+    tracker = SubsetSumTracker(packs[source])
+    path = [source]
+    bulk = not (shortest_only or collect)
 
     def rec(cur, depth):
-        last = depth == k - 1
+        seen = tracker.positions
         here = packs[cur]
-        for u in g.adjacency[cur]:
-            d = packs[u] - here
-            if tracker.conflicts(d):
+        last = depth == k - 1
+        ends_here = bulk and depth == k - 2
+        for u in adjacency[cur]:
+            if packs[u] in seen:
                 continue
             if shortest_only and not _admissible_shortest(g, cur, u, path, vertex_scope):
                 continue
@@ -311,14 +335,28 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
                     records.append(_make_record(g, path, shortest_only))
                     path.pop()
                 continue
+            d = packs[u] - here
+            if ends_here:
+                reach[u] = reach.get(u, 0) + 1
+                ends = g._near[u]
+                for p in ends.keys() & tracker.after(d):
+                    w = ends[p]
+                    counts[w] = counts.get(w, 0) - 1
+                continue
             tracker.push(d)
             path.append(u)
             rec(u, depth + 1)
             path.pop()
             tracker.pop()
 
-    rec(source, 0)
-    return counts, records
+    if bulk and k == 1:
+        reach[source] = 1
+    else:
+        rec(source, 0)
+    for v, r in reach.items():
+        for w in adjacency[v]:
+            counts[w] = counts.get(w, 0) + r
+    return {w: c for w, c in counts.items() if c}, records
 
 
 def _make_record(g, path, shortest):

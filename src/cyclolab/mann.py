@@ -16,9 +16,9 @@ that the sums it is asked about vanish exactly when the vectors' do.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 from .cyclotomic import (
@@ -28,6 +28,8 @@ from .errors import CapExceeded, WorkBudgetExceeded
 
 SUBSUM_CAP = 12
 WORK_BUDGET = 10 ** 8
+# struct codes of the unsigned little-endian slots of 1, 2, 4 and 8 bytes
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 # ---------------------------------------------------------------------------
@@ -124,51 +126,75 @@ def pack_vectors(vectors, depth: int) -> list:
     """Kronecker images of equal-length rational vectors, as Python ints.
 
     All coordinates are scaled by one common denominator to ints, then a
-    vector v maps to P(v) = sum(v_i * B**i), where B = 2 * depth * M + 1
-    and M is the largest scaled |coordinate|.  P is
-    additive, and a sum of at most `depth` images, each signed +1 or -1,
-    is 0 exactly when the same signed sum of the vectors is 0: every
-    coordinate of that sum lies within (B - 1) / 2 of zero, so its
-    balanced base-B digits are unique.  Callers pass as depth the most
-    terms any one of their zero tests combines.
+    vector v maps to P(v) = sum(v_i * B**i).  B = 2**(8w) for the fewest
+    whole bytes w with B > 2 * depth * M, where M is the largest scaled
+    |coordinate|.  P is additive, and a sum of at most `depth` images,
+    each signed +1 or -1, is 0 exactly when the same signed sum of the
+    vectors is 0: every coordinate of that sum lies below B / 2 in
+    absolute value, so its balanced base-B digits are unique.  Callers
+    pass as depth the most terms any one of their zero tests combines.
+
+    Each coordinate is written biased by B / 2 into a w-byte slot, all of
+    them in one pass, and each vector reads its slots back as one int,
+    less the packed bias; so packing takes time linear in the input.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     vectors = [tuple(v) for v in vectors]
     width = len(vectors[0]) if vectors else 1
     ints, _ = _to_int_scaled([c for v in vectors for c in v])
-    base = 2 * depth * max(map(abs, ints), default=0) + 1
-    powers = [base ** i for i in range(width)]
-    return [sum(map(mul, ints[s : s + width], powers)) for s in range(0, len(ints), width)]
+    w = max(1, -(-(2 * depth * max(map(abs, ints), default=0)).bit_length() // 8))
+    half = 1 << (8 * w - 1)
+    biased = [c + half for c in ints]
+    code = _SLOT_CODES.get(w)
+    if code is None:
+        data = b"".join([c.to_bytes(w, "little") for c in biased])
+    else:
+        data = struct.pack(f"<{len(biased)}{code}", *biased)
+    bias = int.from_bytes(half.to_bytes(w, "little") * width, "little")
+    step = w * width
+    return [int.from_bytes(data[s : s + step], "little") - bias for s in range(0, len(data), step)]
 
 
 class SubsetSumTracker:
-    """Stack of the sets of nonempty-subset sums of pushed packed vectors.
+    """Stack of the positions reachable from an origin by pushed vectors.
 
-    Level d holds every subset sum of the first d vectors with their
-    total.  Pushing a new vector would create a vanishing subset iff the
-    vector is zero or its negation is already a subset sum, a set
-    membership test.  Push cost doubles with depth, so callers cap the
-    stack height.
+    Level d holds origin + the sum of T for every subset T of the first d
+    vectors, the empty subset included, with the top position origin +
+    the sum of all d.  Pushing v creates a vanishing nonempty subset iff
+    top + v is already a position (top + v = origin + sum(U) means v and
+    the vectors outside U sum to zero), a set membership test.  Push cost
+    doubles with depth, so callers cap the stack height.
     """
 
-    def __init__(self):
-        self._levels = [(frozenset(), 0)]
+    def __init__(self, origin=0):
+        self._origin = origin
+        self._levels = [(frozenset((origin,)), origin)]
 
     def __len__(self):
         return len(self._levels) - 1
 
     @property
+    def positions(self) -> frozenset:
+        return self._levels[-1][0]
+
+    @property
     def total(self):
-        return self._levels[-1][1]
+        """Sum of the pushed vectors."""
+        return self._levels[-1][1] - self._origin
 
     def conflicts(self, v) -> bool:
         """True iff pushing v would create a vanishing nonempty subset."""
-        return not v or -v in self._levels[-1][0]
+        positions, top = self._levels[-1]
+        return top + v in positions
+
+    def after(self, v) -> frozenset:
+        """The positions once v is pushed; the stack is left unchanged."""
+        positions = self._levels[-1][0]
+        return positions.union([p + v for p in positions])
 
     def push(self, v):
-        sums, total = self._levels[-1]
-        self._levels.append((sums | {v} | {s + v for s in sums}, total + v))
+        self._levels.append((self.after(v), self._levels[-1][1] + v))
 
     def pop(self):
         self._levels.pop()

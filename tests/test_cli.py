@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclolab import cyclotomic, distgraph, erdos_purdy, geometry, mann, pointsets, serialize
+from cyclolab import cli, cyclotomic, distgraph, erdos_purdy, geometry, mann, pointsets, serialize
 from cyclolab.cli import main
 from cyclolab.errors import WorkBudgetExceeded
 
@@ -185,6 +185,54 @@ def test_bad_choice_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["analyze", "--in", tmp_path / "x.json", "--mode", "euclidean"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        *([cmd, "--help"] for cmd in ("gen", "analyze", "mann", "paths", "report")),
+        *(["gen", name, "--help"] for name in ("erdos-purdy", "grid", "lines")),
+        ["bogus"],
+        ["gen", "bogus"],
+        ["gen"],
+        ["analyze"],
+        ["mann", "--k", "2"],
+        ["paths", "--k", "3"],
+        ["report", "--csv", "x.csv"],
+        ["analyze", "--in", "x.json", "--mode", "euclidean"],
+        ["gen", "grid", "--rows", "2", "--spacing", "1/2"],
+        ["gen", "lines", "--per-line", "4", "--out", "analyze"],
+        ["paths", "--in", "gen", "--shortest", "--scope", "neighbors"],
+        ["mann", "--k", "3", "--modulus", "6", "--coeffs=1,-1", "--target-scan"],
+    ],
+)
+def test_parser_for_argv_reads_it_as_the_whole_parser(argv, capsys):
+    # main builds arguments for the named subcommand only; every output,
+    # exit code and parse must be the full parser's
+    def parse(parser):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+        out = capsys.readouterr()
+        return outcome, out.out, out.err
+
+    assert parse(cli._build_parser(argv)) == parse(cli._build_parser())
+
+
+def test_parser_adds_arguments_to_the_named_subcommand_only():
+    def options(parser):
+        (sub,) = parser._subparsers._group_actions
+        return {name: len(p._actions) for name, p in sub.choices.items()}
+
+    # each subparser starts with its --help action alone
+    assert options(cli._build_parser(["paths", "--in", "x.json"])) == {
+        "gen": 1, "analyze": 1, "mann": 1, "paths": 7, "report": 1,
+    }
+    (gen,) = cli._build_parser(["gen", "grid"])._subparsers._group_actions
+    assert options(gen.choices["gen"]) == {"erdos-purdy": 1, "grid": 5, "lines": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclolab import (
     CapExceeded,
@@ -431,6 +432,26 @@ def test_census_matches_brute_walks(make, mode):
             pairs += row
             totals.append(sum(row))
         assert path_stats(g, k) == (max(pairs), min(pairs), totals), (mode, k)
+
+
+@given(
+    # a dense cut of a 4x3 grid, so that paths close rectangles and double back
+    st.sets(st.sampled_from([(x, y) for x in range(4) for y in (-1, 0, 1)]), min_size=3, max_size=9),
+    st.sampled_from(distgraph.MODES),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_census_matches_brute_census_on_gaussian_points(coords, mode, k):
+    g = build_graph(make_pointset([CycNum(4, xy) for xy in sorted(coords)], "gauss", {}), mode)
+    for v in range(g.n):
+        census = irredundant_path_census(g, v, k)
+        assert census == oracles.brute_path_census(g, v, k), (mode, k, v)
+        # the bulk last step drops the endpoints it counts down to zero
+        assert 0 not in census.values()
+        for w in range(g.n):
+            if w != v:
+                count, records = count_irredundant_paths(g, v, w, k, collect=True)
+                assert count == len(records) == census.get(w, 0)
 
 
 def test_census_packs_deep_enough_for_three_edge_sums():

@@ -192,6 +192,25 @@ def test_tracker_interleaved_push_pop_matches_brute(ops):
             assert t.conflicts(p) == ((a, b) == (0, 0) or (-a, -b) in sums), (a, b)
 
 
+@given(st.integers(-50, 50), st.lists(st.integers(-9, 9), max_size=7), st.integers(-9, 9))
+@settings(max_examples=150, deadline=None)
+def test_tracker_positions_are_origin_plus_subset_sums(origin, pushed, probe):
+    from itertools import combinations
+
+    t = SubsetSumTracker(origin)
+    for v in pushed:
+        t.push(v)
+    # every subset, the empty one included
+    subsets = [sub for size in range(len(pushed) + 1) for sub in combinations(pushed, size)]
+    sums = {origin + sum(sub) for sub in subsets}
+    assert t.positions == sums
+    before = len(t), t.total, t.positions
+    assert t.after(probe) == sums | {s + probe for s in sums}
+    assert (len(t), t.total, t.positions) == before == (len(pushed), sum(pushed), sums)
+    # pushing the probe would close a vanishing nonempty subset: itself and a pushed subset
+    assert t.conflicts(probe) == any(probe + sum(sub) == 0 for sub in subsets)
+
+
 def test_relations_need_no_powers_or_root_lists(monkeypatch, tmp_path):
     from cyclolab import cyclotomic, mann, serialize
 
@@ -859,3 +878,26 @@ def test_certified_pairs_from_enumeration():
         for j in range(len(hits)):
             ok, _ = certify_extension(hits[i], hits[j])
             assert ok
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9])
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_pack_vectors_byte_slots_zero_iff_vector_sum_zero(w, depth, data):
+    from itertools import combinations, product
+
+    # the largest coordinate that w-byte slots hold at this depth; at w = 9
+    # it lies between 2**68 and 2**70
+    M = (2 ** (8 * w) - 1) // (2 * depth)
+    coord = st.sampled_from([-M, 1 - M, -(M // 2), -1, 0, 1, M // 2, M - 1, M])
+    vectors = [(0, 1, 0), (M, 0, 0)] + data.draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=5))
+    packed = pack_vectors(vectors, depth)
+    assert packed[0] == 2 ** (8 * w)  # the base: w whole bytes, no fewer
+    for size in range(1, min(depth, len(vectors)) + 1):
+        for picked in combinations(range(len(vectors)), size):
+            for signs in product((1, -1), repeat=size):
+                vector_sum = [
+                    sum(sign * vectors[i][axis] for i, sign in zip(picked, signs)) for axis in range(3)
+                ]
+                packed_sum = sum(sign * packed[i] for i, sign in zip(picked, signs))
+                assert (packed_sum == 0) == (vector_sum == [0, 0, 0])
