@@ -6,6 +6,11 @@ reports irredundant path statistics, and `report` re-renders a stored
 analysis as CSV.  Exit code 0 means success with every applicable
 ceiling holding, 1 means some checked ceiling failed, and 2 flags a
 usage or validation error.
+
+A command line that opens with a command name (for `gen`, a command and
+a construction name) is read by that command's parser alone; any other
+command line, or one that leaves words over, is read by the parser of
+every subcommand, whose help texts and errors it therefore prints.
 """
 
 from __future__ import annotations
@@ -186,19 +191,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_erdos_purdy(p, argv):
+def _add_erdos_purdy(p):
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--out", default=None)
 
 
-def _add_grid(p, argv):
+def _add_grid(p):
     p.add_argument("--rows", type=int, default=3)
     p.add_argument("--cols", type=int, default=3)
     p.add_argument("--spacing", default="1", help="rational spacing, e.g. 1 or 1/2")
     p.add_argument("--out", default=None)
 
 
-def _add_lines(p, argv):
+def _add_lines(p):
     p.add_argument("--lines", type=int, default=3)
     p.add_argument("--per-line", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -213,11 +218,11 @@ _CONSTRUCTIONS = {
 }
 
 
-def _add_gen(p, argv):
-    _add_subcommands(p, "construction", _CONSTRUCTIONS, argv)
+def _add_gen(p):
+    _add_subcommands(p, "construction", _CONSTRUCTIONS)
 
 
-def _add_analyze(p, argv):
+def _add_analyze(p):
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--mode", choices=distgraph.MODES, default="rational")
     p.add_argument("--k", type=int, default=2)
@@ -225,7 +230,7 @@ def _add_analyze(p, argv):
     p.add_argument("--csv", default=None, help="report CSV path")
 
 
-def _add_mann(p, argv):
+def _add_mann(p):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--coeffs", default="1", help="comma separated rationals")
@@ -238,7 +243,7 @@ def _add_mann(p, argv):
     )
 
 
-def _add_paths(p, argv):
+def _add_paths(p):
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--mode", choices=distgraph.MODES, default="rational")
     p.add_argument("--k", type=int, default=2)
@@ -247,7 +252,7 @@ def _add_paths(p, argv):
     p.add_argument("--out", default=None, help="path statistics JSON path")
 
 
-def _add_report(p, argv):
+def _add_report(p):
     p.add_argument("--in", dest="input_path", required=True)
     p.add_argument("--csv", default=None, help="CSV output path")
 
@@ -262,41 +267,51 @@ _COMMANDS = {
 }
 
 
-def _add_subcommands(parser, dest, table, argv):
-    """Register every entry of `table` as a subcommand of parser, with its help.
-
-    Only the first entry that argv names gets its arguments, from its adder
-    and the argv after the name; the others parse nothing, so they cost only
-    their registration.  With argv None every entry gets its arguments.
-    """
+def _add_subcommands(parser, dest, table):
+    """Register every entry of `table` as a subcommand of parser, with its
+    help and arguments."""
     sub = parser.add_subparsers(dest=dest, required=True)
-    named = None if argv is None else next((i for i, a in enumerate(argv) if a in table), None)
     for name, (help_text, add, *_) in table.items():
-        p = sub.add_parser(name, help=help_text)
-        if argv is None:
-            add(p, None)
-        elif named is not None and argv[named] == name:
-            add(p, argv[named + 1 :])
+        add(sub.add_parser(name, help=help_text))
 
 
-def _build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv, or with argv None the parser of every subcommand.
-
-    Both read argv alike: neither the top parser nor `gen` has an option
-    that takes a value, so argparse either runs the first token that names
-    a subcommand or fails before any subcommand parses.
-    """
+def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="cyclolab",
         description="rational-angle point sets, vanishing sums, and path ceilings",
     )
-    _add_subcommands(top, "command", _COMMANDS, argv)
+    _add_subcommands(top, "command", _COMMANDS)
     return top
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed as `_build_parser()` parses it, building only the parser
+    of the command argv opens with (for `gen`, of the construction it names).
+
+    That is the subparser the whole parser would run: neither the top
+    parser nor `gen` has an option that takes a value, so the first word
+    names the subcommand and every later word goes to it.  Only the whole
+    parser reports words left over, so it parses any argv that opens with
+    no command or leaves words over, and every help text, error line and
+    exit code is its own.
+    """
+    table, names = _COMMANDS, argv[:1]
+    if names == ["gen"]:
+        table, names = _CONSTRUCTIONS, argv[:2]
+    entry = table.get(names[-1]) if names else None
+    if entry is not None:
+        parser = argparse.ArgumentParser(prog=" ".join(["cyclolab", *names]))
+        entry[1](parser)
+        known = argparse.Namespace(**dict(zip(("command", "construction"), names)))
+        args, rest = parser.parse_known_args(argv[len(names) :], known)
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:

@@ -137,12 +137,15 @@ def pack_vectors(vectors, depth: int) -> list:
     Each coordinate is written biased by B / 2 into a w-byte slot, all of
     them in one pass, and each vector reads its slots back as one int,
     less the packed bias; so packing takes time linear in the input.
+    Vectors of ints are packed as they are, with no scaling.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     vectors = [tuple(v) for v in vectors]
     width = len(vectors[0]) if vectors else 1
-    ints, _ = _to_int_scaled([c for v in vectors for c in v])
+    ints = [c for v in vectors for c in v]
+    if set(map(type, ints)) - {int}:
+        ints, _ = _to_int_scaled(ints)
     w = max(1, -(-(2 * depth * max(map(abs, ints), default=0)).bit_length() // 8))
     half = 1 << (8 * w - 1)
     biased = [c + half for c in ints]
@@ -369,6 +372,9 @@ def enumerate_minimal_vanishing_sums(
     # test combines at most the k terms of one candidate
     values = pack_vectors([_power_sum(((e, s),), m) for e in range(m) for s in scaled], k)
 
+    closers = {}
+    for idx, v in enumerate(values):
+        closers.setdefault(v, []).append(idx)
     tracker = SubsetSumTracker()
     chosen = []
     found = set()
@@ -378,9 +384,8 @@ def enumerate_minimal_vanishing_sums(
             # a closing term leaves no vanishing proper subset: a proper
             # subset of the chosen terms plus it sums to minus the rest,
             # which the tracker kept nonzero
-            total = tracker.total
-            for idx in range(min_idx, len(pairs)):
-                if not total + values[idx]:
+            for idx in closers.get(-tracker.total, ()):
+                if idx >= min_idx:
                     entries = tuple(pairs[i] for i in chosen) + (pairs[idx],)
                     found.add(_canonical_entries(entries, m))
             return

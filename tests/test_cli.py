@@ -206,33 +206,44 @@ def test_bad_choice_exits_via_argparse(tmp_path):
         ["gen", "lines", "--per-line", "4", "--out", "analyze"],
         ["paths", "--in", "gen", "--shortest", "--scope", "neighbors"],
         ["mann", "--k", "3", "--modulus", "6", "--coeffs=1,-1", "--target-scan"],
+        ["analyze", "--in", "x.json", "--bogus"],
+        ["gen", "grid", "extra"],
+        ["paths", "--in", "x.json", "--", "y"],
+        ["analyze", "--in", "x.json", "-h"],
     ],
 )
 def test_parser_for_argv_reads_it_as_the_whole_parser(argv, capsys):
-    # main builds arguments for the named subcommand only; every output,
+    # main builds the parser of the named command only; every output,
     # exit code and parse must be the full parser's
-    def parse(parser):
+    def parse(parse_args):
         try:
-            outcome = vars(parser.parse_args(argv))
+            outcome = vars(parse_args(argv))
         except SystemExit as exc:
             outcome = exc.code
         out = capsys.readouterr()
         return outcome, out.out, out.err
 
-    assert parse(cli._build_parser(argv)) == parse(cli._build_parser())
+    assert parse(cli._parse_args) == parse(cli._build_parser().parse_args)
 
 
-def test_parser_adds_arguments_to_the_named_subcommand_only():
-    def options(parser):
-        (sub,) = parser._subparsers._group_actions
-        return {name: len(p._actions) for name, p in sub.choices.items()}
+class _WholeParserBuilt(Exception):
+    pass
 
-    # each subparser starts with its --help action alone
-    assert options(cli._build_parser(["paths", "--in", "x.json"])) == {
-        "gen": 1, "analyze": 1, "mann": 1, "paths": 7, "report": 1,
-    }
-    (gen,) = cli._build_parser(["gen", "grid"])._subparsers._group_actions
-    assert options(gen.choices["gen"]) == {"erdos-purdy": 1, "grid": 5, "lines": 1}
+
+def _refuse_whole_parser():
+    raise _WholeParserBuilt
+
+
+def test_well_formed_argv_never_builds_the_whole_parser(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_build_parser", _refuse_whole_parser)
+    grid = tmp_path / "grid.json"
+    assert run(["gen", "grid", "--rows", 2, "--cols", 2, "--out", grid]) == 0
+    assert run(["analyze", "--in", grid, "--k", 2]) == 0
+    assert run(["paths", "--in", grid, "--k", 2, "--shortest"]) == 0
+    assert run(["mann", "--k", 2, "--modulus", 6]) == 0
+    for argv in (["--help"], ["bogus"], ["gen", "grid", "--out", grid, "extra"]):
+        with pytest.raises(_WholeParserBuilt):
+            run(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,19 @@ def test_pack_vectors_zero_iff_vector_sum_zero(vectors, depth):
                 assert (packed_sum == 0) == (vector_sum == [0, 0])
 
 
+def test_pack_vectors_takes_ints_unscaled(monkeypatch):
+    from cyclolab import mann
+
+    vectors = [(3, -1, 0), (0, 2, -7), (5, 0, 1)]
+    as_fractions = pack_vectors([tuple(map(Fraction, v)) for v in vectors], 3)
+
+    def no_scaling(coeffs):
+        raise AssertionError("ints were scaled")
+
+    monkeypatch.setattr(mann, "_to_int_scaled", no_scaling)
+    assert pack_vectors(vectors, 3) == as_fractions
+
+
 # ---------------------------------------------------------------------------
 # relation tuples and subsum scanning
 # ---------------------------------------------------------------------------
