@@ -20,7 +20,7 @@ from typing import Optional
 from . import geometry
 from .cyclotomic import CycNum, RationalAngleForm, _from_ints, classify_rational_angle, real_sign
 from .errors import CapExceeded
-from .mann import SubsetSumTracker, pack_vectors, relation_count_bound
+from .mann import pack_vectors, relation_count_bound
 from .pointsets import PointSet
 
 PATH_CAP = 8
@@ -93,11 +93,13 @@ class DistanceGraph:
         """Packed int of each point, with depth 2n (see pack_vectors).
 
         P is additive, so points[b] - points[a] packs to _packs[b] - _packs[a].
-        The census keeps the positions _packs[source] + P(sum of T) for the
-        subsets T of its stack's edges, and steps to u only when _packs[u]
-        is not one of them; each test is the zero test of u - source - sum
-        of T.  A census stack is an irredundant path, so its vertices are
-        distinct and it holds at most n - 1 edges; the test then has at most
+        The census passes down its recursion the positions _packs[source] +
+        P(sum of T) for the subsets T of its path's edges, and steps to u
+        only when _packs[u] is not one of them; each test is the zero test of
+        u - source - sum of T.  The bulk last step tests the neighbours of u
+        the same way, against the subsets of the path's edges and the step
+        to u.  Those paths are irredundant, so their vertices are distinct
+        and they hold at most n - 1 edges; a test then has at most
         2 + 2(n - 1) = 2n signed point terms.  Every coordinate stays below
         B / 2 in absolute value and zero tests stay exact.
         """
@@ -300,63 +302,65 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
     """Endpoint -> count of the irredundant k-edge paths from source, and the
     collected records.
 
-    The tracker holds the positions reachable from _packs[source] along
-    subsets of the stack's edges; a step to u is irredundant iff _packs[u]
-    is not among them.  Without a per-step rule, the last step is counted
-    in bulk: each vertex u that step k - 1 reaches adds 1 to reach[u] and
-    takes 1 from each neighbour of u that is a position once that step is
-    pushed (one set intersection), and every neighbour of a vertex v gains
-    reach[v] at the end.
+    Each level of the recursion is given pos, the positions reachable from
+    _packs[source] along subsets of the path's edges, and stands on cur; a
+    step to u is irredundant iff _packs[u] is not in pos, and the next level
+    gets pos together with pos + d, d = _packs[u] - _packs[cur].  Without a
+    per-step rule, the last step is counted in bulk: each vertex u that step
+    k - 1 reaches adds 1 to reach[u] and takes 1 from each neighbour of u
+    whose pack is in pos or in pos + d, found by lookups in _near[u], and
+    every neighbour of a vertex v gains reach[v] at the end.
     """
-    counts = {}
+    counts = [0] * g.n
+    reach = [0] * g.n
     records = []
-    reach = {}
     packs = g._packs
+    near = g._near
     adjacency = g.adjacency
-    tracker = SubsetSumTracker(packs[source])
     path = [source]
     bulk = not (shortest_only or collect)
 
-    def rec(cur, depth):
-        seen = tracker.positions
-        here = packs[cur]
+    def rec(cur, pos, depth):
+        top = packs[cur]
         last = depth == k - 1
         ends_here = bulk and depth == k - 2
         for u in adjacency[cur]:
-            if packs[u] in seen:
+            if packs[u] in pos:
                 continue
             if shortest_only and not _admissible_shortest(g, cur, u, path, vertex_scope):
                 continue
             if last:
-                # the last step is counted without a push: nothing extends it
-                counts[u] = counts.get(u, 0) + 1
+                counts[u] += 1
                 if collect and (target is None or u == target):
                     path.append(u)
                     records.append(_make_record(g, path, shortest_only))
                     path.pop()
                 continue
-            d = packs[u] - here
+            d = packs[u] - top
             if ends_here:
-                reach[u] = reach.get(u, 0) + 1
-                ends = g._near[u]
-                for p in ends.keys() & tracker.after(d):
-                    w = ends[p]
-                    counts[w] = counts.get(w, 0) - 1
+                reach[u] += 1
+                ends = near[u]
+                for q in pos:
+                    if q in ends:
+                        counts[ends[q]] -= 1
+                    # a position in both pos and pos + d is counted once
+                    q += d
+                    if q in ends and q not in pos:
+                        counts[ends[q]] -= 1
                 continue
-            tracker.push(d)
             path.append(u)
-            rec(u, depth + 1)
+            rec(u, pos.union([q + d for q in pos]), depth + 1)
             path.pop()
-            tracker.pop()
 
     if bulk and k == 1:
         reach[source] = 1
     else:
-        rec(source, 0)
-    for v, r in reach.items():
-        for w in adjacency[v]:
-            counts[w] = counts.get(w, 0) + r
-    return {w: c for w, c in counts.items() if c}, records
+        rec(source, frozenset((packs[source],)), 0)
+    for v, r in enumerate(reach):
+        if r:
+            for w in adjacency[v]:
+                counts[w] += r
+    return {w: c for w, c in enumerate(counts) if c}, records
 
 
 def _make_record(g, path, shortest):

@@ -483,10 +483,13 @@ def _target_census(targets, k: int, m: int, cs) -> list:
     nonzero targets, found by one prefix search.
 
     The (k-1)-term prefixes do not depend on the target, so each prefix
-    closes every target by a lookup of its residual.  `cs` is a validated
-    coefficient list; nothing is charged here.  Returns one dict per
-    target, in order, mapping each exponent tuple to its first coefficient
-    witness; no RelationTuple is built (`_relations` builds them).
+    closes every target by lookups: of each distinct target's residual
+    among the closing values, or, when the distinct targets outnumber the
+    distinct closing values, of each closing value plus the prefix sum
+    among the targets.  `cs` is a validated coefficient list; nothing is
+    charged here.  Returns one dict per target, in order, mapping each
+    exponent tuple to its first coefficient witness; no RelationTuple is
+    built (`_relations` builds them).
     """
     conductor = math.lcm(m, *(a.conductor for a in targets))
     terms = [(e, c) for e in range(m) for c in cs]
@@ -509,22 +512,38 @@ def _target_census(targets, k: int, m: int, cs) -> list:
         closing.setdefault(p, []).append(term)
 
     founds = [{} for _ in targets]
+    # a prefix closes a target by at most one closing value, so both lookup
+    # directions record the same items in the same order
+    by_pack = {}
+    for apack, found in zip(apacks, founds):
+        by_pack.setdefault(apack, []).append(found)
+    by_closing = len(by_pack) > len(closing)
     tracker = SubsetSumTracker()
     prefix = []
 
-    def close():
-        total = tracker.total
-        for apack, found in zip(apacks, founds):
-            residual = apack - total
-            last = closing.get(residual)
-            # any proper subset containing the last term would sum to zero
-            # iff -residual already occurs among the prefix subset sums
-            if last is None or tracker.conflicts(residual):
-                continue
-            exps = tuple(e0 for e0, _ in prefix)
-            cos = tuple(c0 for _, c0 in prefix)
+    def record(residual, last, hits):
+        # any proper subset containing the last term would sum to zero
+        # iff -residual already occurs among the prefix subset sums
+        if tracker.conflicts(residual):
+            return
+        exps = tuple(e0 for e0, _ in prefix)
+        cos = tuple(c0 for _, c0 in prefix)
+        for found in hits:
             for e, c in last:
                 found.setdefault(exps + (e,), cos + (c,))
+
+    def close():
+        total = tracker.total
+        if by_closing:
+            for residual, last in closing.items():
+                hits = by_pack.get(total + residual)
+                if hits is not None:
+                    record(residual, last, hits)
+        else:
+            for apack, hits in by_pack.items():
+                last = closing.get(apack - total)
+                if last is not None:
+                    record(apack - total, last, hits)
 
     def extend(depth):
         if depth == k - 1:

@@ -434,6 +434,29 @@ def test_census_matches_brute_walks(make, mode):
         assert path_stats(g, k) == (max(pairs), min(pairs), totals), (mode, k)
 
 
+@pytest.mark.parametrize(
+    "make,mode", [(lambda: square_grid(4, 4), "rational"), (lambda: erdos_purdy(4), "unit")]
+)
+def test_census_at_depth_four_matches_brute_census(make, mode):
+    # at k = 4 the bulk last step meets positions in both pos and pos + d,
+    # and with collect the last step is taken one step at a time at depth 3
+    g = build_graph(make(), mode)
+    k = 4
+    pairs, totals = [], []
+    for v in range(g.n):
+        brute = oracles.brute_path_census(g, v, k)
+        census = irredundant_path_census(g, v, k)
+        assert census == brute, (mode, v)
+        row = [brute.get(w, 0) for w in range(g.n) if w != v]
+        pairs += row
+        totals.append(sum(row))
+        for w in range(g.n):
+            if w != v:
+                count, records = count_irredundant_paths(g, v, w, k, collect=True)
+                assert count == len(records) == census.get(w, 0), (mode, v, w)
+    assert path_stats(g, k) == (max(pairs), min(pairs), totals), mode
+
+
 @given(
     # a dense cut of a 4x3 grid, so that paths close rectangles and double back
     st.sets(st.sampled_from([(x, y) for x in range(4) for y in (-1, 0, 1)]), min_size=3, max_size=9),

@@ -1,5 +1,6 @@
 """Vanishing-sum enumeration, certification, and the counting bounds."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -755,6 +756,34 @@ def test_target_core_matches_one_call_per_target():
             for found in together
         ] == [[(t.roots, t.coeffs) for t in hits] for hits in alone]
     assert any(together)
+
+
+@pytest.mark.parametrize(
+    "k,m,coeffs",
+    [
+        (1, 6, (1, -1)),
+        (2, 6, (1, -1, 2)),
+        (2, 4, (1, 2, Fraction(1, 2))),
+        (3, 6, (1, -1)),
+    ],
+)
+def test_target_census_of_many_targets_matches_one_census_per_target(k, m, coeffs):
+    from cyclolab import mann
+
+    cs = mann._validate_coeff_set(coeffs)
+    roots = [root_of_unity(e, m) for e in range(m)]
+    pool = {r1 * c1 + r2 * c2 for r1 in roots for r2 in roots for c1 in cs for c2 in cs}
+    rng = random.Random(f"{k} {m} {coeffs}")
+    many = rng.sample(sorted((a for a in pool if not a.is_zero()), key=str), 16)
+    many.insert(5, many[2])
+    # 16 distinct targets outnumber the at most 12 distinct closing values
+    # c z^e; two targets do not
+    for targets in (many, many[:2], [many[0], many[0]]):
+        together = mann._target_census(targets, k, m, cs)
+        alone = [mann._target_census([a], k, m, cs)[0] for a in targets]
+        assert [list(found.items()) for found in together] == [list(found.items()) for found in alone]
+        if targets is many:
+            assert any(together)
 
 
 def test_target_scan_builds_only_the_witness_relations(monkeypatch):
