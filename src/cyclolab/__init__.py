@@ -24,7 +24,6 @@ from .cyclotomic import (
 from .mann import (
     MannCertificate,
     RelationTuple,
-    SubsetSumTracker,
     pack_vectors,
     certify_extension,
     certify_mann,
@@ -91,7 +90,6 @@ __all__ = [
     "unit_roots",
     "MannCertificate",
     "RelationTuple",
-    "SubsetSumTracker",
     "pack_vectors",
     "certify_extension",
     "certify_mann",

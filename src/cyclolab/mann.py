@@ -159,50 +159,6 @@ def pack_vectors(vectors, depth: int) -> list:
     return [int.from_bytes(data[s : s + step], "little") - bias for s in range(0, len(data), step)]
 
 
-class SubsetSumTracker:
-    """Stack of the positions reachable from an origin by pushed vectors.
-
-    Level d holds origin + the sum of T for every subset T of the first d
-    vectors, the empty subset included, with the top position origin +
-    the sum of all d.  Pushing v creates a vanishing nonempty subset iff
-    top + v is already a position (top + v = origin + sum(U) means v and
-    the vectors outside U sum to zero), a set membership test.  Push cost
-    doubles with depth, so callers cap the stack height.
-    """
-
-    def __init__(self, origin=0):
-        self._origin = origin
-        self._levels = [(frozenset((origin,)), origin)]
-
-    def __len__(self):
-        return len(self._levels) - 1
-
-    @property
-    def positions(self) -> frozenset:
-        return self._levels[-1][0]
-
-    @property
-    def total(self):
-        """Sum of the pushed vectors."""
-        return self._levels[-1][1] - self._origin
-
-    def conflicts(self, v) -> bool:
-        """True iff pushing v would create a vanishing nonempty subset."""
-        positions, top = self._levels[-1]
-        return top + v in positions
-
-    def after(self, v) -> frozenset:
-        """The positions once v is pushed; the stack is left unchanged."""
-        positions = self._levels[-1][0]
-        return positions.union([p + v for p in positions])
-
-    def push(self, v):
-        self._levels.append((self.after(v), self._levels[-1][1] + v))
-
-    def pop(self):
-        self._levels.pop()
-
-
 # ---------------------------------------------------------------------------
 # relation tuples
 # ---------------------------------------------------------------------------
@@ -375,33 +331,33 @@ def enumerate_minimal_vanishing_sums(
     closers = {}
     for idx, v in enumerate(values):
         closers.setdefault(v, []).append(idx)
-    tracker = SubsetSumTracker()
     chosen = []
     found = set()
 
-    def extend(min_idx, stop, remaining):
+    def extend(min_idx, stop, remaining, pos, total):
+        # pos holds the sums of all subsets of the chosen terms and total
+        # the sum of them all; v makes a nonempty subset vanish iff
+        # total + v = sum(U) for some subset U, i.e. total + v is in pos
         if remaining == 1:
             # a closing term leaves no vanishing proper subset: a proper
             # subset of the chosen terms plus it sums to minus the rest,
-            # which the tracker kept nonzero
-            for idx in closers.get(-tracker.total, ()):
+            # which no chosen subset does
+            for idx in closers.get(-total, ()):
                 if idx >= min_idx:
                     entries = tuple(pairs[i] for i in chosen) + (pairs[idx],)
                     found.add(_canonical_entries(entries, m))
             return
         for idx in range(min_idx, stop):
             v = values[idx]
-            if tracker.conflicts(v):
+            if total + v in pos:
                 continue
-            tracker.push(v)
             chosen.append(idx)
-            extend(idx, len(pairs), remaining - 1)
+            extend(idx, len(pairs), remaining - 1, pos.union([q + v for q in pos]), total + v)
             chosen.pop()
-            tracker.pop()
 
     # the pivot term is at exponent zero, one of the first len(cs) pairs;
     # the other terms follow in sorted order
-    extend(0, len(cs), k)
+    extend(0, len(cs), k, frozenset((0,)), 0)
 
     zero = CycNum.zero()
     return [
@@ -518,13 +474,12 @@ def _target_census(targets, k: int, m: int, cs) -> list:
     for apack, found in zip(apacks, founds):
         by_pack.setdefault(apack, []).append(found)
     by_closing = len(by_pack) > len(closing)
-    tracker = SubsetSumTracker()
     prefix = []
 
-    def record(residual, last, hits):
+    def record(pos, total, residual, last, hits):
         # any proper subset containing the last term would sum to zero
         # iff -residual already occurs among the prefix subset sums
-        if tracker.conflicts(residual):
+        if total + residual in pos:
             return
         exps = tuple(e0 for e0, _ in prefix)
         cos = tuple(c0 for _, c0 in prefix)
@@ -532,45 +487,43 @@ def _target_census(targets, k: int, m: int, cs) -> list:
             for e, c in last:
                 found.setdefault(exps + (e,), cos + (c,))
 
-    def close():
-        total = tracker.total
-        if by_closing:
-            for residual, last in closing.items():
-                hits = by_pack.get(total + residual)
-                if hits is not None:
-                    record(residual, last, hits)
-        else:
-            for apack, hits in by_pack.items():
-                last = closing.get(apack - total)
-                if last is not None:
-                    record(apack - total, last, hits)
-
-    def extend(depth):
+    def extend(depth, pos, total):
+        # pos holds the prefix subset sums and total the prefix sum, as in
+        # enumerate_minimal_vanishing_sums
         if depth == k - 1:
-            close()
+            if by_closing:
+                for residual, last in closing.items():
+                    hits = by_pack.get(total + residual)
+                    if hits is not None:
+                        record(pos, total, residual, last, hits)
+            else:
+                for apack, hits in by_pack.items():
+                    last = closing.get(apack - total)
+                    if last is not None:
+                        record(pos, total, apack - total, last, hits)
             return
         for term, v in zip(terms, tpacks):
-            if tracker.conflicts(v):
+            if total + v in pos:
                 continue
-            tracker.push(v)
             prefix.append(term)
-            extend(depth + 1)
+            extend(depth + 1, pos.union([q + v for q in pos]), total + v)
             prefix.pop()
-            tracker.pop()
 
-    extend(0)
+    extend(0, frozenset((0,)), 0)
     return founds
 
 
-def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
+def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET) -> list:
     """Charge a whole two-term target scan against the budget, before any work.
 
     The scan censuses at most m(m+1)/2 * |cs|^2 targets in Q(zeta_m).
+    Returns the validated coefficient list.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
     _charge(k, m, cs, m, budget, m * (m + 1) // 2 * len(cs) ** 2)
+    return cs
 
 
 def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
@@ -586,7 +539,7 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     witness, so that check covers the result.  Returns (worst, str of
     the witness target or None, number of targets).
     """
-    charge_target_scan(k, m, coeff_set, budget)
+    cs = charge_target_scan(k, m, coeff_set, budget)
     if k < 1:
         raise ValueError("length must be at least 1")
     rows = [_power_sum(((e, 1),), m) for e in range(m)]
@@ -601,7 +554,7 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
                         keyed[key] = _from_ints(m, key, den)
     targets = list(keyed.values())
     worst, witness = 0, None
-    for a, found in zip(targets, _target_census(targets, k, m, _validate_coeff_set(coeff_set))):
+    for a, found in zip(targets, _target_census(targets, k, m, cs)):
         if len(found) > worst:
             worst, witness = len(found), (a, found)
     if witness is None:

@@ -10,7 +10,6 @@ from cyclolab import (
     CapExceeded,
     CycNum,
     RelationTuple,
-    SubsetSumTracker,
     WorkBudgetExceeded,
     certify_extension,
     certify_mann,
@@ -89,127 +88,6 @@ def test_chebyshev_certificate_is_integer_based():
     for p in primes_upto(100):
         prod *= p
     assert chebyshev_bound_holds(100) == (prod.bit_length() <= 400)
-
-
-# ---------------------------------------------------------------------------
-# subset-sum tracker
-# ---------------------------------------------------------------------------
-
-def test_tracker_basics():
-    # every zero test below combines at most three vectors
-    zero, x, y, xy, neg_xy, neg_x, diag = pack_vectors(
-        [(0, 0), (1, 0), (0, 2), (1, 2), (-1, -2), (-1, 0), (1, 1)], 3
-    )
-    t = SubsetSumTracker()
-    assert len(t) == 0
-    assert t.conflicts(zero)  # the zero vector always conflicts
-    t.push(x)
-    t.push(y)
-    assert t.total == xy
-    assert t.conflicts(neg_xy)
-    assert t.conflicts(neg_x)
-    assert not t.conflicts(diag)
-    assert len(t) == 2
-    t.pop()
-    assert len(t) == 1 and t.total == x
-    assert not t.conflicts(neg_xy)
-    assert t.conflicts(neg_x)
-    t.pop()
-    assert len(t) == 0 and t.total == 0
-    assert not t.conflicts(neg_x)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=7
-    )
-)
-@settings(max_examples=80, deadline=None)
-def test_tracker_matches_brute_subset_sums(vectors):
-    from itertools import combinations
-
-    t = SubsetSumTracker()
-    stacked = []
-    # a tested subset plus the new vector has at most len(vectors) terms
-    packed = pack_vectors(vectors, len(vectors))
-    for v, p in zip(vectors, packed):
-        # the incremental verdict must agree with a from-scratch subset scan
-        expected = not any(v)
-        if not expected:
-            for size in range(1, len(stacked) + 1):
-                for sub in combinations(stacked, size):
-                    s = [0, 0]
-                    for u in sub:
-                        s[0] += u[0]
-                        s[1] += u[1]
-                    if (s[0] + v[0], s[1] + v[1]) == (0, 0):
-                        expected = True
-                        break
-                if expected:
-                    break
-        assert t.conflicts(p) == expected
-        t.push(p)
-        stacked.append(v)
-    for _ in vectors:
-        t.pop()
-    assert len(t) == 0 and t.total == 0
-
-
-_SMALL = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-
-
-@given(st.lists(st.one_of(_SMALL, st.none()), max_size=14))
-@settings(max_examples=120, deadline=None)
-def test_tracker_interleaved_push_pop_matches_brute(ops):
-    from itertools import combinations
-
-    # None pops the top vector; every other entry is pushed
-    pushed = [v for v in ops if v is not None]
-    probes = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
-    # a probe's zero test combines it with at most every pushed vector
-    packed = pack_vectors(pushed + probes, len(pushed) + 1)
-    packed_probes = packed[len(pushed):]
-    t = SubsetSumTracker()
-    live = []
-    fresh = iter(zip(pushed, packed))
-    for op in ops:
-        if op is not None:
-            item = next(fresh)
-            t.push(item[1])
-            live.append(item)
-            continue
-        if not live:
-            continue
-        t.pop()
-        live.pop()
-        sums = {
-            tuple(map(sum, zip(*(v for v, _ in sub))))
-            for size in range(1, len(live) + 1)
-            for sub in combinations(live, size)
-        }
-        assert len(t) == len(live)
-        assert t.total == sum(p for _, p in live)
-        for (a, b), p in zip(probes, packed_probes):
-            assert t.conflicts(p) == ((a, b) == (0, 0) or (-a, -b) in sums), (a, b)
-
-
-@given(st.integers(-50, 50), st.lists(st.integers(-9, 9), max_size=7), st.integers(-9, 9))
-@settings(max_examples=150, deadline=None)
-def test_tracker_positions_are_origin_plus_subset_sums(origin, pushed, probe):
-    from itertools import combinations
-
-    t = SubsetSumTracker(origin)
-    for v in pushed:
-        t.push(v)
-    # every subset, the empty one included
-    subsets = [sub for size in range(len(pushed) + 1) for sub in combinations(pushed, size)]
-    sums = {origin + sum(sub) for sub in subsets}
-    assert t.positions == sums
-    before = len(t), t.total, t.positions
-    assert t.after(probe) == sums | {s + probe for s in sums}
-    assert (len(t), t.total, t.positions) == before == (len(pushed), sum(pushed), sums)
-    # pushing the probe would close a vanishing nonempty subset: itself and a pushed subset
-    assert t.conflicts(probe) == any(probe + sum(sub) == 0 for sub in subsets)
 
 
 def test_relations_need_no_powers_or_root_lists(monkeypatch, tmp_path):
@@ -536,6 +414,11 @@ def test_relation_len():
 # enumeration of minimal vanishing sums
 # ---------------------------------------------------------------------------
 
+def _entries(t, m):
+    """The (exponent, coeff) pairs of a relation over mu_m, in term order."""
+    return tuple((int(turn * m), c) for turn, c in zip(t.turns, t.coeffs))
+
+
 def test_enumerate_unit_m12():
     rels = enumerate_minimal_vanishing_sums(2, 12, (ONE,))
     assert len(rels) == 1
@@ -580,12 +463,16 @@ def test_enumerate_budget():
         (3, 9, (ONE,)),
         (2, 5, (ONE, Fraction(2))),
         (3, 4, (ONE, -ONE, Fraction(1, 2))),
+        # the subset sums of the chosen terms pass three and four levels down
+        (4, 6, (ONE, Fraction(2))),
+        (5, 10, (ONE,)),
     ],
 )
 def test_enumerate_matches_brute_oracle(k, m, coeffs):
     rels = enumerate_minimal_vanishing_sums(k, m, coeffs)
     brute = oracles.brute_vanishing_sums_with_coeffs(k, m, coeffs)
-    assert len(rels) == len(brute)
+    # each relation comes back in the oracle's rotation-normal form, once
+    assert [_entries(t, m) for t in rels] == sorted(brute)
     for t in rels:
         assert oracles.verify_minimal_vanishing(t)
 
@@ -672,7 +559,7 @@ def test_target_matches_brute_oracle(k, m, coeffs, target_exps):
     hits = enumerate_target_relations(a, k, m, coeffs)
     lf = oracles.LongForm.from_cyc(a.lift(m) if m % a.conductor == 0 else a)
     brute = oracles.brute_target_relations(lf.reduced(), k, m, coeffs)
-    assert len(hits) == len(brute)
+    assert {tuple(e for e, _ in _entries(t, m)) for t in hits} == brute
     for t in hits:
         total = CycNum.zero()
         for r, c in zip(t.roots, t.coeffs):
@@ -840,20 +727,20 @@ def test_float_coefficients_rejected_everywhere(call, floats):
         call(floats)
 
 
-def test_target_scan_builds_one_tracker(monkeypatch):
+def test_target_scan_runs_one_census(monkeypatch):
     from cyclolab import mann
 
-    built = []
+    calls = []
+    census = mann._target_census
 
-    class Counting(mann.SubsetSumTracker):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
+    def counting(*args):
+        calls.append(args)
+        return census(*args)
 
-    monkeypatch.setattr(mann, "SubsetSumTracker", Counting)
+    monkeypatch.setattr(mann, "_target_census", counting)
     half = Fraction(1, 2)
     assert two_term_target_scan(2, 6, (1, -1, 2, -2, half, -half)) == (24, "1 + z6", 108)
-    assert len(built) == 1
+    assert len(calls) == 1
 
 
 def test_target_scan_rejects_nonpositive_modulus():
