@@ -411,7 +411,7 @@ class CycNum:
 
     def conj(self) -> "CycNum":
         """Complex conjugate, i.e. the Galois map zeta -> zeta^(-1)."""
-        return self.galois(self.conductor - 1) if self.conductor > 2 else self
+        return self.galois(self.conductor - 1)
 
     # -- equality and hashing ----------------------------------------------------
 
@@ -534,14 +534,9 @@ def unit_roots(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _roots_index(m: int) -> dict:
-    """Row -> exponent, over the m-th roots of unity whose power-basis row
-    has a positive first nonzero entry.
-
-    Takes even m only: there -zeta^e = zeta^(e + m/2), so the table holds
-    exactly one of every root and its negative, m/2 entries in all.  The
-    keys are int tuples.
-    """
-    return {row: e for e, row in enumerate(_power_table(m)) if next(filter(None, row)) > 0}
+    """Row -> exponent over all m-th roots of unity, m entries keyed by the
+    int tuples of `_power_table(m)`."""
+    return {row: e for e, row in enumerate(_power_table(m))}
 
 
 @dataclass(frozen=True, slots=True)
@@ -575,45 +570,37 @@ def classify_rational_angle(w) -> Optional[RationalAngleForm]:
 
     M is lcm(2, conductor of w); every root of unity inside Q(zeta_N) is an
     M-th root of unity, so the decision is complete.  It is one lookup:
-    w lifted to M, as an int vector divided by the gcd of its entries and
-    by the sign of its first nonzero entry, is w's primitive form, and
-    w = q * zeta_M^e exactly when that form is the row of zeta_M^e
-    (power-table rows are primitive, since a root of unity divided by an
-    integer g > 1 is not an algebraic integer).  With (r, s) =
-    `_radical_split(M)` and e = q s + t, that row is row q of the table
-    of r at the indices = t (mod s) (`_power_sum`), so the form is a row
-    exactly when its nonzero entries all sit at indices = t for one t and
-    its stride-s slice from t is a row of `_roots_index(r)`.  Returns None
-    when w has an irrational length or a non-rational angle; raises on
-    zero input.
+    w lifted to M, as an int vector divided by the positive gcd of its
+    entries, is w's primitive form, and w = q * zeta_M^e exactly when that
+    form is the row of zeta_M^e (power-table rows are primitive, since a
+    root of unity divided by an integer g > 1 is not an algebraic integer).
+    With (r, s) = `_radical_split(M)` and e = q s + t, that row is row q
+    of the table of r at the indices = t (mod s) (`_power_sum`), so the
+    form is a row exactly when its nonzero entries all sit at indices = t
+    for one t and its stride-s slice from t is a row of `_roots_index(r)`.
+    No sign is chosen: r is even, so a negated row -zeta_r^q =
+    zeta_r^(q + r/2) is itself a row.  Returns None when w has an
+    irrational length or a non-rational angle; raises on zero input.
     """
     w = CycNum._coerce(w)
     if w is None:
         raise TypeError("classify_rational_angle expects a CycNum or rational")
     if w.is_zero():
         raise ValueError("zero input has no direction")
-    n, m = w.conductor, math.lcm(2, w.conductor)
-    ints = w.nums if m == n else _map_ints(w.nums, n, m)
+    m = math.lcm(2, w.conductor)
+    ints = _map_ints(w.nums, w.conductor, m)
     r, s = _radical_split(m)
-    t = 0
-    if s > 1:
-        for t in range(s):
-            row = ints[t::s]
-            if any(row):
-                break
-        if len(ints) - ints.count(0) != len(row) - row.count(0):
-            return None
-        ints = row
-    g = math.gcd(*ints)
-    if next(filter(None, ints)) < 0:
-        g = -g
-    e = _roots_index(r).get(tuple(ints) if g == 1 else tuple(c // g for c in ints))
+    for t in range(s):
+        row = ints[t::s]
+        if any(row):
+            break
+    if len(ints) - ints.count(0) != len(row) - row.count(0):
+        return None
+    g = math.gcd(*row)
+    e = _roots_index(r).get(tuple(row) if g == 1 else tuple(c // g for c in row))
     if e is None:
         return None
-    e = e * s + t
-    if g < 0:
-        e = (e + m // 2) % m
-    return RationalAngleForm(Fraction(abs(g), w.den), e, m)
+    return RationalAngleForm(Fraction(g, w.den), e * s + t, m)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -131,6 +131,8 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     n = len(ps)
+    if n < 2:  # no pair, so no residue field: the conductor is not factored
+        return DistanceGraph(pointset=ps, mode=mode, edges={})
     vecs, den = ps.scaled
     F, G, p = ps.residues
     h = math.lcm(2, ps.conductor) // 2
@@ -305,11 +307,12 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
     Each level of the recursion is given pos, the positions reachable from
     _packs[source] along subsets of the path's edges, and stands on cur; a
     step to u is irredundant iff _packs[u] is not in pos, and the next level
-    gets pos together with pos + d, d = _packs[u] - _packs[cur].  Without a
-    per-step rule, the last step is counted in bulk: each vertex u that step
-    k - 1 reaches adds 1 to reach[u] and takes 1 from each neighbour of u
-    whose pack is in pos or in pos + d, found by lookups in _near[u], and
-    every neighbour of a vertex v gains reach[v] at the end.
+    gets pos together with pos + d, d = _packs[u] - _packs[cur].  The last
+    step is counted as it is taken, except that with no per-step rule and
+    k >= 2 it is counted in bulk: each vertex u that step k - 1 reaches adds
+    1 to reach[u] and takes 1 from each neighbour of u whose pack is in pos
+    or in pos + d, found by lookups in _near[u], and every neighbour of a
+    vertex v gains reach[v] at the end.
     """
     counts = [0] * g.n
     reach = [0] * g.n
@@ -331,7 +334,7 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
                 continue
             if last:
                 counts[u] += 1
-                if collect and (target is None or u == target):
+                if collect and u == target:
                     path.append(u)
                     records.append(_make_record(g, path, shortest_only))
                     path.pop()
@@ -352,10 +355,7 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
             rec(u, pos.union([q + d for q in pos]), depth + 1)
             path.pop()
 
-    if bulk and k == 1:
-        reach[source] = 1
-    else:
-        rec(source, frozenset((packs[source],)), 0)
+    rec(source, frozenset((packs[source],)), 0)
     for v, r in enumerate(reach):
         if r:
             for w in adjacency[v]:
@@ -535,10 +535,13 @@ def analyze(ps: PointSet, mode: str, k: int = 2) -> AnalysisReport:
     if n >= 2 and e >= 1:
         excess = math.log(e) / math.log(n) - 1.0
 
+    # fewer than two points have no line and no 2-path, and their
+    # conductor is not factored (see build_graph)
     if n >= 2:
         max_col, _ = max_points_on_line(ps)
+        two_path_max, _ = noncollinear_two_path_stats(g)
     else:
-        max_col = n
+        max_col, two_path_max = n, 0
 
     threshold = Fraction(e, 2 * n) if n else Fraction(0)
     sub = min_degree_subgraph(g, threshold)
@@ -550,8 +553,6 @@ def analyze(ps: PointSet, mode: str, k: int = 2) -> AnalysisReport:
     if sub.n >= 2:
         pair_max, pair_min, source_totals = path_stats(sub, k)
         source_min = min(source_totals)
-
-    two_path_max, _ = noncollinear_two_path_stats(g)
 
     delta = sub_delta or 0
     bounds = {

@@ -142,7 +142,10 @@ def pack_vectors(vectors, depth: int) -> list:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     vectors = [tuple(v) for v in vectors]
-    width = len(vectors[0]) if vectors else 1
+    lengths = sorted({len(v) for v in vectors}) or [1]
+    if len(lengths) > 1:
+        raise ValueError(f"vectors must have equal length, got lengths {', '.join(map(str, lengths))}")
+    width = lengths[0]
     ints = [c for v in vectors for c in v]
     if set(map(type, ints)) - {int}:
         ints, _ = _to_int_scaled(ints)

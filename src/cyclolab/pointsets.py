@@ -213,8 +213,6 @@ def erdos_purdy(levels: int) -> PointSet:
                 vecs, union_prints = union
                 conductor, prints = big, {big: union_prints}
                 break
-        else:  # pragma: no cover - the candidate stream is infinite
-            raise AssertionError("no usable root of unity found")
 
     points = [_from_ints(conductor, v, 1) for v in vecs]
     return make_pointset(points, "erdos_purdy", {"levels": levels})

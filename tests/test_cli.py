@@ -726,6 +726,12 @@ def test_malformed_documents_rejected(tmp_path):
     notjson.write_text("plain text", encoding="utf-8")
     with pytest.raises(ValueError):
         serialize.load_pointset(notjson)
+    listroot = tmp_path / "list.json"
+    listroot.write_text("[]", encoding="utf-8")
+    with pytest.raises(ValueError, match="^document root must be an object$"):
+        serialize.load_pointset(listroot)
+    with pytest.raises(ValueError, match="^malformed pointset document$"):
+        serialize.obj_to_pointset([])
 
 
 def test_malformed_document_via_cli_exits_2(tmp_path, capsys):
@@ -749,6 +755,7 @@ _HAND_POINTSET = {
     [
         {"points": 5},
         {"provenance": {"name": "hand", "params": [], "seed": 0}},
+        {"provenance": 5},
         {"points": [["0", "0"], ["1", "0"], ["0", "1", "0"]]},
         {"conductor": True, "points": [["0"], ["1"]]},
         {"points": [["0", "0"], ["1.5", "0"], ["0", "1"]]},
@@ -761,7 +768,7 @@ _HAND_POINTSET = {
         {"points": [["0", "0"], ["RAW:-1e400", "0"], ["0", "1"]]},
     ],
     ids=[
-        "points-int", "params-list", "row-length", "conductor-bool", "decimal",
+        "points-int", "params-list", "provenance-int", "row-length", "conductor-bool", "decimal",
         "seed-str", "name-int", "conductor-30030", "conductor-huge", "coord-div0",
         "coord-overflow", "coord-neg-overflow",
     ],
@@ -783,6 +790,38 @@ def test_malformed_pointset_via_cli_exits_2(tmp_path, capsys, monkeypatch, chang
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+_EMPTY_ANALYZE = """\
+n=0 mode=rational k=2 edges=0 max_collinear=0 excess=none
+peeled: n=0 edges=0 min_degree=None threshold=0
+paths k=2: pair_max=0 source_min=None two_path_noncollinear_max=0
+ceiling relation_count: holds
+ceiling two_path: holds
+ceiling peeling: not applicable
+ceiling continuation: not applicable
+"""
+
+
+@pytest.mark.parametrize("conductor", [1, 4, 1000003, 2**89 - 1])
+def test_empty_pointset_answers_without_factoring_its_conductor(tmp_path, conductor):
+    # a set with no points has no row length to bound its conductor, and
+    # nothing it reaches factors the conductor: the prime 2^89 - 1 is far
+    # past trial division, yet both commands answer at once
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(_HAND_POINTSET, conductor=conductor, points=[])), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cyclotomic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    analyze, paths = (
+        subprocess.run(
+            [sys.executable, "-m", "cyclolab.cli", command, "--in", str(path)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        for command in ("analyze", "paths")
+    )
+    assert (analyze.returncode, analyze.stdout, analyze.stderr) == (0, _EMPTY_ANALYZE, "")
+    assert (paths.returncode, paths.stdout) == (2, "")
+    assert paths.stderr == "error: need at least two points for path statistics\n"
 
 
 def _raw_json(obj) -> str:

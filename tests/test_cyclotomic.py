@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -460,8 +461,8 @@ def test_roots_of_unity_basics():
 @pytest.mark.parametrize("m", list(range(1, 31)) + [60, 84, 420])
 def test_root_table_matches_root_of_unity(m):
     M = math.lcm(2, m)
-    # one row of each pair zeta^e, -zeta^e = zeta^(e + M/2)
-    assert len(_roots_index(M)) == M // 2
+    # every row of the table, -zeta^e = zeta^(e + M/2) included
+    assert len(_roots_index(M)) == M
     roots = unit_roots(m)
     assert len(roots) == m
     for e, r in enumerate(roots):
@@ -614,6 +615,20 @@ def test_real_sign_irrational_reals():
     golden = z5 + z5.conj()  # 2cos(72 deg) = (sqrt(5) - 1) / 2
     assert real_sign(golden) == 1
     assert real_sign(golden - 1) == -1
+
+
+def test_real_sign_doubles_precision_until_the_box_excludes_zero(monkeypatch):
+    # q is (sqrt(5) - 1) / 2 to 40 decimals, about 1e-41 below it, so the
+    # boxes at 64 and 128 bits still hold zero and the loop goes on to 256
+    q = Fraction("0.6180339887498948482045868343656381177203")
+    z5 = root_of_unity(1, 5)
+    precisions = []
+    cos = mpmath.iv.cos
+    monkeypatch.setattr(mpmath.iv, "cos", lambda x: precisions.append(mpmath.iv.prec) or cos(x))
+    # both sides of sqrt(5) versus 2q + 1 are positive, so squaring keeps the order
+    exact = 1 if (2 * q + 1) ** 2 < 5 else -1
+    assert real_sign(z5 + z5.conj() - q) == exact == 1
+    assert sorted(set(precisions)) == [64, 128, 256]
 
 
 def test_real_sign_rejects_nonreal():

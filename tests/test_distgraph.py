@@ -60,6 +60,11 @@ def test_triangle_unit_graph():
         assert form.length == 1
 
 
+def test_empty_graph_has_no_min_degree():
+    g = build_graph(make_pointset([], "empty", {}), "unit")
+    assert (g.n, g.edge_count, g.min_degree()) == (0, 0, None)
+
+
 def test_grid_2x2_rational_graph():
     g = build_graph(square_grid(2, 2), "rational")
     assert g.edge_count == 4  # sides only; the diagonals have length sqrt 2

@@ -168,6 +168,20 @@ def test_pack_vectors_zero_iff_vector_sum_zero(vectors, depth):
                 assert (packed_sum == 0) == (vector_sum == [0, 0])
 
 
+@pytest.mark.parametrize(
+    "vectors, depth, message",
+    [
+        ([(1, 2), (3, 4)], 0, "^depth must be at least 1$"),
+        ([(1, 2), (3, 0, 0)], 1, "^vectors must have equal length, got lengths 2, 3$"),
+        ([(1, 2), (3,)], 1, "^vectors must have equal length, got lengths 1, 2$"),
+    ],
+    ids=["depth-0", "longer", "shorter"],
+)
+def test_pack_vectors_refuses_bad_input(vectors, depth, message):
+    with pytest.raises(ValueError, match=message):
+        pack_vectors(vectors, depth)
+
+
 def test_pack_vectors_takes_ints_unscaled(monkeypatch):
     from cyclolab import mann
 
@@ -201,6 +215,8 @@ def test_relation_tuple_validation():
         )
     with pytest.raises(ValueError, match="exact rationals, not floats"):
         RelationTuple(roots=(CycNum.one(),), coeffs=(0.5,), target=CycNum.one())
+    with pytest.raises(ValueError, match="^target must be a CycNum or rational$"):
+        RelationTuple(roots=(CycNum.one(),), coeffs=(ONE,), target="x")
     with pytest.raises(ValueError, match=r"^CycNum\(1, \[2\]\) is not a root of unity$"):
         # 2 is not a root of unity
         RelationTuple(roots=(CycNum.from_rational(2),), coeffs=(ONE,), target=2)
@@ -577,6 +593,8 @@ def test_target_validation():
         enumerate_target_relations(2, 2, 12, (ONE,), budget=3)
     with pytest.raises(ValueError):
         enumerate_target_relations("x", 2, 12, (ONE,))
+    with pytest.raises(ValueError, match="^modulus must be positive$"):
+        enumerate_target_relations(2, 2, 0, (ONE,))
 
 
 def test_target_census_within_bound_spot():
@@ -748,6 +766,16 @@ def test_target_scan_rejects_nonpositive_modulus():
     for m in (0, -3):
         with pytest.raises(ValueError, match="^modulus must be positive$"):
             two_term_target_scan(2, m, (1,))
+
+
+def test_target_scan_rejects_nonpositive_length():
+    with pytest.raises(ValueError, match="^length must be at least 1$"):
+        two_term_target_scan(0, 6, (1,))
+
+
+def test_target_scan_with_no_represented_target():
+    # over mu_1 with coefficient 1 the one target is 2, which one term cannot reach
+    assert two_term_target_scan(1, 1, (1,)) == (0, None, 1)
 
 
 # ---------------------------------------------------------------------------
