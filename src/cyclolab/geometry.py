@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import CycNum, _poly_mul_int, _power_sum, _prime_factors, cyclotomic_polynomial, phi
 
@@ -143,25 +144,40 @@ _SMALL_PRIMES = math.prod((
 ))  # the primes below 200
 
 
+# P - 1 = 14 lcm(1..42) = 2^6 3^3 5^2 7^2 11 13 17 19 23 29 31 37 41, and 43
+# generates (Z/P)^*: every conductor the constructions reach divides P - 1
+SMOOTH_PRIME = 14 * math.lcm(*range(1, 43)) + 1
+
+
 @lru_cache(maxsize=None)
 def residue_field(n: int) -> tuple:
-    """(p, omega): the first prime p = 1 (mod n) above 2^61, and omega of
-    order exactly n mod p, so that zeta_n -> omega maps Z[zeta_n] onto Z/p.
+    """(p, omega): a prime p = 1 (mod n) above 2^61 and omega of order
+    exactly n mod p, so that zeta_n -> omega maps Z[zeta_n] onto Z/p.
 
-    omega = g^((p-1)/n) for the first g = 2, 3, ... that gives order n.  A
+    When n divides P - 1, with P = `SMOOTH_PRIME`, p = P and omega =
+    43^((P-1)/n), 43 being a generator mod P; no primality test runs.  P
+    is 1 (mod n) and above 2^61, so the search below would have stopped at
+    P or before, and every norm bound that held for its prime holds for P.
+
+    For any other n, p is the first prime = 1 (mod n) above 2^61, and omega
+    = g^((p-1)/n) for the first g = 2, 3, ... that gives order n.  A
     candidate p with a prime factor below 200 is dropped by one gcd before
     Miller-Rabin, and g^((p-1)/n) for a composite g is the product of the
     powers already taken at its least prime factor f and at g / f.
     """
-    p = (2**61 // n + 1) * n + 1
-    while math.gcd(p, _SMALL_PRIMES) != 1 or not _is_prime(p):
-        p += n
-    powers = {}
-    for g in range(2, p):
-        f = _prime_factors(g)[0]
-        omega = powers[g] = pow(g, (p - 1) // n, p) if f == g else powers[f] * powers[g // f] % p
-        if all(pow(omega, n // q, p) != 1 for q in _prime_factors(n)):
-            break
+    if (SMOOTH_PRIME - 1) % n == 0:
+        p = SMOOTH_PRIME
+        omega = pow(43, (p - 1) // n, p)
+    else:
+        p = (2**61 // n + 1) * n + 1
+        while math.gcd(p, _SMALL_PRIMES) != 1 or not _is_prime(p):
+            p += n
+        powers = {}
+        for g in range(2, p):
+            f = _prime_factors(g)[0]
+            omega = powers[g] = pow(g, (p - 1) // n, p) if f == g else powers[f] * powers[g // f] % p
+            if all(pow(omega, n // q, p) != 1 for q in _prime_factors(n)):
+                break
     assert _horner(cyclotomic_polynomial(n), omega, p) == 0, f"omega is no root of Phi_{n} mod {p}"
     return p, omega
 
@@ -170,7 +186,14 @@ def fingerprints(vecs, n: int, big: int):
     """Residues [x(eta) for x in vecs] and [x(1/eta) for x in vecs] mod p of
     int coefficient vectors at conductor n, where (p, omega) =
     residue_field(big) and eta = omega^(big/n): the residues of each x and
-    conj(x) lifted to conductor big, without the lift."""
+    conj(x) lifted to conductor big, without the lift.
+
+    Each residue is one sum of c_i * eta^(+-i) over the nonzero c_i, read
+    from one table of the powers of eta and one of eta^-1, reduced once.
+    """
     p, omega = residue_field(big)
     eta = pow(omega, big // n, p)
-    return [[_horner(x, root, p) for x in vecs] for root in (eta, pow(eta, -1, p))]
+    width = max(map(len, vecs), default=1)
+    tables = [list(itertools.accumulate(itertools.repeat(root, width - 1), lambda a, b: a * b % p, initial=1))
+              for root in (eta, pow(eta, -1, p))]
+    return [[sum(map(mul, itertools.compress(x, x), itertools.compress(t, x))) % p for x in vecs] for t in tables]

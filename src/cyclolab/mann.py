@@ -19,6 +19,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .cyclotomic import (
@@ -28,8 +29,8 @@ from .errors import CapExceeded, WorkBudgetExceeded
 
 SUBSUM_CAP = 12
 WORK_BUDGET = 10 ** 8
-# struct codes of the unsigned little-endian slots of 1, 2, 4 and 8 bytes
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# struct codes of the signed little-endian slots of 1, 2, 4 and 8 bytes
+_SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +135,36 @@ def pack_vectors(vectors, depth: int) -> list:
     absolute value, so its balanced base-B digits are unique.  Callers
     pass as depth the most terms any one of their zero tests combines.
 
-    Each coordinate is written biased by B / 2 into a w-byte slot, all of
-    them in one pass, and each vector reads its slots back as one int,
-    less the packed bias; so packing takes time linear in the input.
-    Vectors of ints are packed as they are, with no scaling.
+    Each vector's coordinates are written in two's complement into w-byte
+    slots, one `struct.pack` call a vector, and read back as one unsigned
+    int U.  Every coordinate c has |c| < B / 2, so flipping the top bit of
+    its slot gives the slot of c + B / 2: U ^ bias, with bias the sum of
+    (B / 2) B**i, is P(v) + bias.  So packing takes time linear in the
+    input and holds one vector's bytes at a time.  Vectors of ints are
+    packed as they are, with no scaling.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    vectors = [tuple(v) for v in vectors]
-    lengths = sorted({len(v) for v in vectors}) or [1]
+    vectors = list(map(tuple, vectors))
+    lengths = sorted(set(map(len, vectors))) or [1]
     if len(lengths) > 1:
         raise ValueError(f"vectors must have equal length, got lengths {', '.join(map(str, lengths))}")
     width = lengths[0]
-    ints = [c for v in vectors for c in v]
-    if set(map(type, ints)) - {int}:
-        ints, _ = _to_int_scaled(ints)
-    w = max(1, -(-(2 * depth * max(map(abs, ints), default=0)).bit_length() // 8))
-    half = 1 << (8 * w - 1)
-    biased = [c + half for c in ints]
+    if not width:
+        raise ValueError("vectors must have at least one coordinate")
+    if set(map(type, chain.from_iterable(vectors))) - {int}:
+        ints, _ = _to_int_scaled(list(chain.from_iterable(vectors)))
+        vectors = [tuple(ints[s : s + width]) for s in range(0, len(ints), width)]
+    M = max(map(abs, chain.from_iterable(vectors)), default=0)
+    w = max(1, -(-(2 * depth * M).bit_length() // 8))
     code = _SLOT_CODES.get(w)
     if code is None:
-        data = b"".join([c.to_bytes(w, "little") for c in biased])
+        def slots(*v):
+            return b"".join([c.to_bytes(w, "little", signed=True) for c in v])
     else:
-        data = struct.pack(f"<{len(biased)}{code}", *biased)
-    bias = int.from_bytes(half.to_bytes(w, "little") * width, "little")
-    step = w * width
-    return [int.from_bytes(data[s : s + step], "little") - bias for s in range(0, len(data), step)]
+        slots = struct.Struct(f"<{width}{code}").pack
+    bias = int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * width, "little")
+    return [(int.from_bytes(slots(*v), "little") ^ bias) - bias for v in vectors]
 
 
 # ---------------------------------------------------------------------------

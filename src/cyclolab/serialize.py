@@ -13,9 +13,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import floordiv, mul
 
 from .cyclotomic import CycNum, _from_ints, phi, root_of_unity
 from .distgraph import MODES, AnalysisReport
@@ -53,12 +51,31 @@ def str_to_fraction(s) -> Fraction:
     return Fraction(*_parse_rational(s))
 
 
-def _strs_to_cycnum(n: int, strs: list) -> CycNum:
+class _Rationals(dict):
+    """(num, den) of each rational string, parsed by `_parse_rational` on
+    its first lookup only; one load shares one, as its points repeat a
+    few strings, "0" most of all."""
+
+    def __missing__(self, s):
+        self[s] = parsed = _parse_rational(s)
+        return parsed
+
+
+def _strs_to_cycnum(n: int, strs: list, rationals: _Rationals) -> CycNum:
     """The element of conductor n whose phi(n) coordinates are the rational
-    strings strs, scaled to the lcm of their denominators."""
-    nums, dens = zip(*map(_parse_rational, strs))
-    den = math.lcm(*dens)
-    return _from_ints(n, list(map(mul, nums, map(floordiv, repeat(den), dens))), den)
+    strings strs, scaled to the lcm of their denominators.
+
+    Each distinct string is looked up once, in order of first occurrence,
+    so the first bad string in strs is the one refused.  A list holding a
+    value that is not a string is parsed value by value instead, and
+    `_parse_rational` refuses its first bad value: a list or an object is
+    never used as a key.
+    """
+    distinct = dict.fromkeys(strs) if set(map(type, strs)) == {str} else strs
+    pairs = [rationals[s] if type(s) is str else _parse_rational(s) for s in distinct]
+    den = math.lcm(*(d for _, d in pairs))
+    scaled = {s: num * (den // d) for s, (num, d) in zip(distinct, pairs)}
+    return _from_ints(n, list(map(scaled.__getitem__, strs)), den)
 
 
 def _is_int(x) -> bool:
@@ -87,7 +104,7 @@ def obj_to_cycnum(d) -> CycNum:
     # phi(n) >= sqrt(n / 2), so the coefficient count bounds the conductor
     if n > 2 * len(coeffs) ** 2 or len(coeffs) != phi(n):
         raise ValueError(f"a field element of conductor {n} needs phi({n}) coefficients")
-    return _strs_to_cycnum(n, coeffs)
+    return _strs_to_cycnum(n, coeffs, _Rationals())
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +151,8 @@ def obj_to_pointset(d) -> PointSet:
         raise ValueError(f"conductor {conductor} needs more than {len(rows[0])} coefficients a point")
     if any(len(row) != phi(conductor) for row in rows):
         raise ValueError(f"every point needs phi({conductor}) = {phi(conductor)} coefficients")
-    points = tuple(_strs_to_cycnum(conductor, row) for row in rows)
+    rationals = _Rationals()
+    points = tuple(_strs_to_cycnum(conductor, row, rationals) for row in rows)
     return PointSet(
         conductor=conductor,
         points=points,

@@ -841,6 +841,29 @@ def test_non_lowest_terms_rational_names_its_reduced_form(tmp_path, capsys, coor
 
 
 @pytest.mark.parametrize(
+    "points, message",
+    [
+        ([["1/2", "1/2"]] * 25 + [["2/4", "0"]], "rational '2/4' is not in lowest-terms form '1/2'"),
+        ([["0", "0"], [1, "0"]], "expected a rational string, got 1"),
+        ([["0", "0"], [["1"], "0"]], "expected a rational string, got ['1']"),
+        ([["0", "0"], [{"a": 1}, "0"]], "expected a rational string, got {'a': 1}"),
+        ([["0", "0"], [" 1", "0"]], "bad rational ' 1': expected lowest-terms form such as '3' or '-1/2'"),
+        ([["1/2", "0"], ["2/4", ["1"]]], "rational '2/4' is not in lowest-terms form '1/2'"),
+        ([["1/2", "0"], [["1"], "2/4"]], "expected a rational string, got ['1']"),
+        ([["0", "0"], ["1", 1], ["2/4", "0"]], "expected a rational string, got 1"),
+    ],
+    ids=["unreduced-after-50", "int", "list", "object", "space", "bad-then-list", "list-then-bad", "int-then-bad"],
+)
+def test_loader_refuses_the_first_bad_coordinate_in_file_order(tmp_path, capsys, points, message):
+    # each distinct string is parsed once a load, and a value that is no
+    # string is never a key, so a list or an object gives the same line
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(_HAND_POINTSET, points=points)), encoding="utf-8")
+    assert run(["analyze", "--in", bad]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "change, text",
     [
         ({"points": [["0", "0"], ["1/" + "7" * 5000, "0"], ["0", "1"]]}, None),

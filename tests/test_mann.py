@@ -174,8 +174,9 @@ def test_pack_vectors_zero_iff_vector_sum_zero(vectors, depth):
         ([(1, 2), (3, 4)], 0, "^depth must be at least 1$"),
         ([(1, 2), (3, 0, 0)], 1, "^vectors must have equal length, got lengths 2, 3$"),
         ([(1, 2), (3,)], 1, "^vectors must have equal length, got lengths 1, 2$"),
+        ([()], 1, "^vectors must have at least one coordinate$"),
     ],
-    ids=["depth-0", "longer", "shorter"],
+    ids=["depth-0", "longer", "shorter", "no-coordinate"],
 )
 def test_pack_vectors_refuses_bad_input(vectors, depth, message):
     with pytest.raises(ValueError, match=message):
@@ -835,6 +836,18 @@ def test_certified_pairs_from_enumeration():
         for j in range(len(hits)):
             ok, _ = certify_extension(hits[i], hits[j])
             assert ok
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9])
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_pack_vectors_are_the_base_b_sums(w, depth, width, data):
+    # each pack is sum(v_i * B**i) with B = 2**(8w), computed here directly
+    M = (2 ** (8 * w) - 1) // (2 * depth)
+    coord = st.one_of(st.integers(-M, M), st.sampled_from([-M, -1, 0, 1, M]))
+    vectors = [(M,) + (0,) * (width - 1)] + data.draw(st.lists(st.tuples(*[coord] * width), max_size=6))
+    B = 2 ** (8 * w)
+    assert pack_vectors(vectors, depth) == [sum(c * B**i for i, c in enumerate(v)) for v in vectors]
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8, 9])

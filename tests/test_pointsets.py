@@ -145,8 +145,9 @@ def test_residue_field_has_a_root_of_phi_of_exact_order():
 
 
 def _plain_residue_field(n):
-    """The search `residue_field` is specified by: one primality test per
-    candidate p and one power per g, with no shortcut."""
+    """The search `residue_field` makes for an n that does not divide
+    SMOOTH_PRIME - 1: one primality test per candidate p and one power per
+    g, with no shortcut."""
     p = next(q for q in count((2**61 // n + 1) * n + 1, n) if sympy.isprime(q))
     omega = next(
         w for w in (pow(g, (p - 1) // n, p) for g in range(2, p))
@@ -155,9 +156,62 @@ def _plain_residue_field(n):
     return p, omega
 
 
+_SMOOTH = 3066842656354276801  # 14 lcm(1..42) + 1
+# conductors of grids and lines, of erdos_purdy L1-L10, and some that
+# do not divide _SMOOTH - 1 (a prime, or a prime power above its share)
+_CONSTRUCTED = [4, 1, 3, 12, 60, 420, 1260, 13860, 180180]
+_OFF_SMOOTH = [43, 47, 81, 121, 125, 128, 169]
+
+
+def test_smooth_prime_is_a_prime_with_generator_43():
+    assert geometry.SMOOTH_PRIME == _SMOOTH and _SMOOTH.bit_length() == 62
+    assert sympy.isprime(_SMOOTH)
+    assert _SMOOTH - 1 == 14 * math.lcm(*range(1, 43))
+    assert all(pow(43, (_SMOOTH - 1) // q, _SMOOTH) != 1 for q in sympy.primefactors(_SMOOTH - 1))
+
+
 def test_residue_field_matches_the_plain_search():
-    for n in [*range(1, 201), 420, 1260, 13860]:
-        assert geometry.residue_field(n) == _plain_residue_field(n), n
+    # n dividing _SMOOTH - 1 takes _SMOOTH and 43^((P-1)/n); any other n the plain search
+    assert all((_SMOOTH - 1) % n == 0 for n in _CONSTRUCTED)
+    assert all((_SMOOTH - 1) % n for n in _OFF_SMOOTH)
+    for n in [*range(1, 201), 420, 1260, 13860, 180180]:
+        if (_SMOOTH - 1) % n == 0:
+            expected = (_SMOOTH, pow(43, (_SMOOTH - 1) // n, _SMOOTH))
+        else:
+            expected = _plain_residue_field(n)
+        assert geometry.residue_field(n) == expected, n
+
+
+def test_residue_field_tests_no_prime_for_a_divisor_of_smooth_prime_minus_one(monkeypatch):
+    calls = []
+    real = geometry._is_prime
+    monkeypatch.setattr(geometry, "_is_prime", lambda q: calls.append(q) or real(q))
+    for n in _CONSTRUCTED:
+        geometry.residue_field.__wrapped__(n)  # past the cache
+    assert calls == []
+    for n in _OFF_SMOOTH:
+        assert geometry.residue_field.__wrapped__(n) == geometry.residue_field(n)
+    assert len(calls) >= len(_OFF_SMOOTH)
+
+
+@pytest.mark.parametrize(
+    "n, big",
+    [(420, 420), (60, 420), (4, 13860), (12, 180180), (1, 420), (1, 1), (43, 43), (1, 43), (4, 172)],
+)
+def test_fingerprints_match_horner_on_dense_and_sparse_vectors(n, big):
+    rng = random.Random(n * 1000003 + big)
+    p, omega = geometry.residue_field(big)
+    eta = pow(omega, big // n, p)
+    width = int(sympy.totient(n))
+    for density in (1.0, 0.3, 0.05, 0.0):
+        vecs = [
+            [rng.choice([-1, 1]) * rng.randint(1, 2**rng.choice([3, 40, 90])) if rng.random() < density else 0
+             for _ in range(width)]
+            for _ in range(6)
+        ]
+        F, G = geometry.fingerprints(vecs, n, big)
+        assert F == [geometry._horner(x, eta, p) for x in vecs], (n, big, density)
+        assert G == [geometry._horner(x, pow(eta, -1, p), p) for x in vecs], (n, big, density)
 
 
 def test_difference_screen_matches_the_exact_test_over_a_tiny_prime(monkeypatch):
