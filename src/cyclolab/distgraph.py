@@ -4,8 +4,10 @@ Vertices are the points of a PointSet.  Two points are joined when
 their displacement is a positive rational multiple of a root of unity;
 in "unit" mode the rational length must additionally be exactly 1.  On
 top of the graph live the operations that drive the counting results:
-degree peeling, collinearity statistics, and the census of irredundant
-paths (paths no nonempty subset of whose edge vectors sums to zero).
+degree peeling, line statistics read from the point set's line table
+`PointSet.lines`, and the census of irredundant paths (paths no nonempty
+subset of whose edge vectors sums to zero), whose shortest-step rule
+reads that table too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import sub
 from typing import Optional
 
@@ -211,26 +213,16 @@ def min_degree_subgraph(g: DistanceGraph, threshold) -> DistanceGraph:
 def max_points_on_line(ps: PointSet):
     """Largest number of points of ps on one line, with a witness.
 
-    Groups, for each anchor, the later points into lines through the
-    anchor with `geometry.lines_through`; the anchor with the lowest index
-    on the richest line sees that line's full membership, so the maximum
-    over anchors is exact.  Membership is decided by the point set's
-    exact triple test `ps.collinear` and its residue pairs `ps.residues`.
+    The witness is the first longest line of the point set's line table
+    `ps.lines`, which holds each line of three or more points in the
+    order of its lowest point; with no such line it is the pair (0, 1).
     Returns (count, sorted tuple of member indices).  Needs at least 2
     points.
     """
-    n = len(ps)
-    if n < 2:
+    if len(ps) < 2:
         raise ValueError("need at least two points")
-    collinear = ps.collinear
-    best = 0, None
-    for i in range(n - 1):
-        steps = geometry.lines_through(i, range(i + 1, n), *ps.residues, partial(collinear, i))
-        # a line is yielded first as it starts, and is full once steps run out
-        line = max([line for line in steps if len(line) == 1], key=len)
-        if 1 + len(line) > best[0]:
-            best = 1 + len(line), (i, *line)
-    return best
+    line = max(ps.lines.values(), key=len, default=(0, 1))
+    return len(line), line
 
 
 # ---------------------------------------------------------------------------
@@ -270,25 +262,18 @@ def relation_count_applies(mode: str, max_collinear: int) -> bool:
     return mode == "unit" or max_collinear <= 2
 
 
-def _admissible_shortest(g: DistanceGraph, p: int, u: int, prefix, scope: str) -> bool:
+def _admissible_shortest(g: DistanceGraph, p: int, u: int, path, scope: str) -> bool:
     """May a path standing at p step to u under the shortness rule?
 
     The step must be strictly shorter than the distance from p to every
-    other in-scope vertex on the line through p and u that is not already
-    used by the path; distance ties are inadmissible.
+    other in-scope vertex not yet on the path that lies on the line of p
+    and u in `PointSet.lines`; distance ties are inadmissible.
     """
-    base = g.squared_distance(p, u)
-    if scope == "all":
-        candidates = range(g.n)
-    else:
-        candidates = g.adjacency[p]
-    used = set(prefix)
-    for x in candidates:
-        if x == u or x in used or not g.pointset.collinear(p, u, x):
-            continue
-        if real_sign(g.squared_distance(p, x) - base) <= 0:
-            return False
-    return True
+    return all(
+        real_sign(g.squared_distance(p, x) - g.squared_distance(p, u)) > 0
+        for x in g.pointset.lines.get((p, u), ())
+        if x != u and x not in path and (scope == "all" or x in g.adjacency[p])
+    )
 
 
 def _check_path_args(k: int, vertex_scope: str) -> None:
@@ -395,9 +380,7 @@ def count_irredundant_paths(
         raise ValueError("vertex index out of range")
     if v == w:
         raise ValueError("endpoints must differ")
-    counts, records = _path_census(
-        g, v, k, shortest_only, vertex_scope, collect, target=w
-    )
+    counts, records = _path_census(g, v, k, shortest_only, vertex_scope, collect, target=w)
     count = counts.get(w, 0)
     return (count, records) if collect else count
 
@@ -413,10 +396,7 @@ def irredundant_path_census(
     _check_path_args(k, vertex_scope)
     if not 0 <= source < g.n:
         raise ValueError("vertex index out of range")
-    counts, _ = _path_census(
-        g, source, k, shortest_only, vertex_scope, False, target=None
-    )
-    return counts
+    return _path_census(g, source, k, shortest_only, vertex_scope, False, target=None)[0]
 
 
 def path_stats(
@@ -469,20 +449,18 @@ def path_direction_tuple(record: PathRecord) -> tuple:
 def noncollinear_two_path_stats(g: DistanceGraph):
     """Largest count over pairs (v, w) of noncollinear 2-paths v-m-w.
 
-    A 2-path counts when m is adjacent to both ends and v, m, w are not
-    collinear.  Returns (max_count, witness pair or None).
+    A 2-path counts when m is adjacent to both ends and w is not on the
+    line of m and v in `PointSet.lines`.  Returns (max_count, witness).
     """
     n = g.n
     adj_sets = [set(a) for a in g.adjacency]
-    collinear = g.pointset.collinear  # a middle m equal to v or w is collinear
-    best = 0
-    witness = None
+    lines = g.pointset.lines
+    best, witness = 0, None
     for v in range(n):
         for w in range(v + 1, n):
-            count = sum(not collinear(v, m, w) for m in adj_sets[v] & adj_sets[w])
+            count = sum(w not in lines.get((m, v), ()) for m in adj_sets[v] & adj_sets[w])
             if count > best:
-                best = count
-                witness = (v, w)
+                best, witness = count, (v, w)
     return best, witness
 
 

@@ -9,7 +9,8 @@ parameters (and seed, where one applies).  The doubling screens its
 translates by `geometry.lines_through` and confirms collinearity exactly.
 A `PointSet` owns the views the geometry and the graph read: its points
 as int vectors over their common denominator (`scaled`), one residue
-pair per point (`residues`) and the exact triple test (`collinear`).
+pair per point (`residues`), the exact triple test (`collinear`) and
+the table of its lines (`lines`) that the graph's line statistics read.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class PointSet:
 
     `points` all carry exactly the declared conductor, and their order is
     significant: serialization preserves it byte for byte.  The derived
-    views are computed once, on first use: `scaled`, `residues` and
-    `collinear`, the set's exact triple test on point indices, which keeps
-    one residue pair per point, no table over pairs.
+    views are computed once, on first use: `scaled`, `residues`,
+    `collinear`, the set's exact triple test on point indices, and
+    `lines`, the one table of which points share a line.
     """
 
     conductor: int
@@ -85,6 +86,24 @@ class PointSet:
         """The exact triple test collinear(i, j, k) on point indices (see
         `geometry.collinearity`)."""
         return geometry.collinearity(self.scaled[0], self.conductor, *self.residues)
+
+    @cached_property
+    def lines(self) -> dict:
+        """Each ordered pair of distinct points on a line of three or more
+        points -> that line, the ascending tuple of its point indices.
+        Anchor i groups by `geometry.lines_through` the later points on no
+        found line with i, so each line is found once, in full, from its
+        lowest point; the lines come in the order of their lowest points."""
+        lines = {}
+        for i in range(len(self) - 1):
+            later = [j for j in range(i + 1, len(self)) if (i, j) not in lines]
+            steps = geometry.lines_through(i, later, *self.residues, partial(self.collinear, i))
+            # a line is yielded first as it starts, and is full once steps run out
+            for line in [line for line in steps if len(line) == 1]:
+                if len(line) > 1:
+                    line = (i, *line)
+                    lines.update(((a, b), line) for a in line for b in line if a != b)
+        return lines
 
 
 def make_pointset(points, name: str, params: dict, seed: int = 0) -> PointSet:

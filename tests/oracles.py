@@ -438,17 +438,41 @@ def brute_min_conductor(x: CycNum) -> int:
 # path oracle
 # ---------------------------------------------------------------------------
 
-def brute_path_census(g, source: int, k: int) -> dict:
+def brute_path_census(g, source: int, k: int, shortest_scope=None) -> dict:
     """Endpoint -> irredundant k-edge path count, by enumerating all
-    walks and re-checking every nonempty subset of edge vectors."""
+    walks and re-checking every nonempty subset of edge vectors.
+
+    With shortest_scope "all" or "neighbors", each step a -> b must also
+    be strictly shorter than a -> x for every other vertex x on the line
+    through a and b that the walk has not visited, among all vertices or
+    among the neighbours of a.  Rivals are found by `is_collinear` and
+    squared distances are compared as Fractions, so they must be rational.
+    """
     pts = g.pointset.points
     counts = {}
+
+    def squared(a, b):
+        d = (pts[b] - pts[a]) * (pts[b] - pts[a]).conj()
+        if not d.is_rational():
+            raise ValueError("the shortest-step oracle needs rational squared distances")
+        return d.as_rational()
+
+    def shortest(prefix, b):
+        a = prefix[-1]
+        scope = range(len(pts)) if shortest_scope == "all" else g.adjacency[a]
+        return all(
+            squared(a, x) > squared(a, b)
+            for x in scope
+            if x != b and x not in prefix and is_collinear(pts[a], pts[b], pts[x])
+        )
 
     def all_walks(prefix):
         if len(prefix) == k + 1:
             yield tuple(prefix)
             return
         for u in g.adjacency[prefix[-1]]:
+            if shortest_scope is not None and not shortest(prefix, u):
+                continue
             prefix.append(u)
             yield from all_walks(prefix)
             prefix.pop()
@@ -470,6 +494,19 @@ def brute_path_census(g, source: int, k: int) -> dict:
         if ok:
             counts[walk[-1]] = counts.get(walk[-1], 0) + 1
     return counts
+
+
+def brute_noncollinear_two_paths(g):
+    """(max count, first pair v < w reaching it, or None) of the 2-paths
+    v - m - w with v, m, w not collinear, by `is_collinear` on each."""
+    pts = g.pointset.points
+    best, witness = 0, None
+    for v, w in combinations(range(len(pts)), 2):
+        middles = set(g.adjacency[v]) & set(g.adjacency[w])
+        count = sum(not is_collinear(pts[v], pts[m], pts[w]) for m in middles)
+        if count > best:
+            best, witness = count, (v, w)
+    return best, witness
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +538,4 @@ def fraction_points(conductor: int, rows):
             return None
         points.append(CycNum(conductor, coeffs))
     return points
+

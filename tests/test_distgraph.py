@@ -36,7 +36,7 @@ from cyclolab import (
 )
 
 import oracles
-from test_pointsets import _small_residue_field
+from test_pointsets import _shifted_grid, _small_residue_field
 
 
 def triangle():
@@ -629,6 +629,69 @@ def test_shortest_paths_are_subset_of_plain():
         short = irredundant_path_census(g, v, 2, shortest_only=True)
         for w, c in short.items():
             assert c <= plain.get(w, 0)
+
+
+def rivals_on_both_sides():
+    """The axis points -1, 0, 1/2, 1, 3 with unit steps up from -1, 0, 1
+    and down from 0, 1: an axis step meets rivals on both sides of its
+    start, some at the same distance, and in unit mode 1/2 and 3 are
+    rivals that are nobody's neighbours."""
+    xs = [-1, 0, Fraction(1, 2), 1, 3]
+    ys = [(-1, 1), (0, 1), (1, 1), (0, -1), (1, -1)]
+    return make_pointset([CycNum(4, (x, 0)) for x in xs] + [CycNum(4, xy) for xy in ys], "rivals", {})
+
+
+@pytest.mark.parametrize("mode", distgraph.MODES)
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _shifted_grid(4, 4), lambda: parallel_lines(3, 4, seed=5), rivals_on_both_sides],
+    ids=["shifted_grid", "parallel_lines", "rivals"],
+)
+def test_line_table_readers_match_brute_force(make, mode):
+    g = build_graph(make(), mode)
+    for scope in ("all", "neighbors"):
+        for k in (1, 2, 3):
+            for v in range(g.n):
+                census = irredundant_path_census(g, v, k, shortest_only=True, vertex_scope=scope)
+                assert census == oracles.brute_path_census(g, v, k, scope), (scope, k, v)
+    assert noncollinear_two_path_stats(g) == oracles.brute_noncollinear_two_paths(g)
+
+
+def test_shortest_rule_weighs_rivals_on_both_sides():
+    g = build_graph(rivals_on_both_sides(), "unit")
+    # 0 -> 1 ties with 0 -> -1 until -1 is used, and 1/2 is nearer still,
+    # though no neighbour of 0
+    assert count_irredundant_paths(g, 1, 3, 1, shortest_only=True, vertex_scope="neighbors") == 0
+    assert count_irredundant_paths(g, 0, 3, 2, shortest_only=True, vertex_scope="neighbors") == 1
+    assert count_irredundant_paths(g, 0, 3, 2, shortest_only=True) == 0
+    assert count_irredundant_paths(g, 0, 3, 2) == 1
+
+
+def test_line_table_is_built_once_and_read_without_triple_tests(monkeypatch):
+    ps = erdos_purdy(5)
+    g = build_graph(ps, "rational")
+    tests, scans = [], []
+    real_collinearity, real_lines_through = geometry.collinearity, geometry.lines_through
+
+    def counting(*args):
+        test = real_collinearity(*args)
+
+        @functools.wraps(test)
+        def collinear(*triple):
+            tests.append(triple)
+            return test(*triple)
+
+        return collinear
+
+    monkeypatch.setattr(geometry, "collinearity", counting)
+    monkeypatch.setattr(geometry, "lines_through", lambda *args: scans.append(args[0]) or real_lines_through(*args))
+    assert max_points_on_line(ps) == (2, (0, 1))
+    built = len(tests)
+    noncollinear_two_path_stats(g)
+    for scope in ("all", "neighbors"):
+        path_stats(g, 3, shortest_only=True, vertex_scope=scope)
+    assert len(scans) <= len(ps) - 1
+    assert len(tests) == built
 
 
 # ---------------------------------------------------------------------------

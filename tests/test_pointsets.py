@@ -21,6 +21,7 @@ from cyclolab import (
     max_points_on_line,
     noncollinear_two_path_stats,
     parallel_lines,
+    path_stats,
     pointsets,
     root_of_unity,
     square_grid,
@@ -440,17 +441,23 @@ def test_norm_certificate_spares_pair_vec_on_small_coordinates(monkeypatch):
     assert len(calls) == 1
 
 
+def _line_statistics(ps, g):
+    shortest = [path_stats(g, 2, shortest_only=True, vertex_scope=s) for s in ("all", "neighbors")]
+    return max_points_on_line(ps), noncollinear_two_path_stats(g), shortest
+
+
 def test_tiny_prime_line_statistics_match_the_real_prime(monkeypatch):
+    # the tiny prime collides residue keys, so the line table and the
+    # shortest-step rule that reads it rest on the exact confirmations
     sets = [_shifted_grid(5, 5), parallel_lines(3, 4, seed=5), erdos_purdy(4)]
     graphs = [build_graph(ps, "rational") for ps in sets]
-    expected = [(max_points_on_line(ps), noncollinear_two_path_stats(g)) for ps, g in zip(sets, graphs)]
+    expected = [_line_statistics(ps, g) for ps, g in zip(sets, graphs)]
     monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
     calls = _count_pair_vecs(monkeypatch)
     for ps, want in zip(sets, expected):
         before = len(calls)
         fresh = dataclasses.replace(ps)  # a new PointSet builds its test afresh
-        g = build_graph(fresh, "rational")
-        assert (max_points_on_line(fresh), noncollinear_two_path_stats(g)) == want
+        assert _line_statistics(fresh, build_graph(fresh, "rational")) == want
         assert len(calls) > before, fresh.provenance["name"]
 
 
