@@ -189,10 +189,10 @@ class RelationTuple:
     turns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        roots = tuple(self.roots)
-        if any(isinstance(c, float) for c in self.coeffs):
+        roots, coeffs = tuple(self.roots), tuple(self.coeffs)
+        if any(isinstance(c, float) for c in coeffs):
             raise ValueError("coefficients must be exact rationals, not floats")
-        coeffs = tuple(map(_as_fraction, self.coeffs))
+        coeffs = tuple(map(_as_fraction, coeffs))
         target = CycNum._coerce(self.target)
         if target is None:
             raise ValueError("target must be a CycNum or rational")
@@ -278,6 +278,7 @@ def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
 # ---------------------------------------------------------------------------
 
 def _validate_coeff_set(coeff_set):
+    coeff_set = tuple(coeff_set)
     if any(isinstance(c, float) for c in coeff_set):
         raise ValueError("coefficients must be exact rationals, not floats")
     cs = sorted({Fraction(c) for c in coeff_set})
@@ -300,15 +301,19 @@ def _charge(k, m, cs, conductor, budget, targets=1):
         raise WorkBudgetExceeded(estimate, budget)
 
 
+def _root_terms(m: int, cs, n: int, scale: int = 1) -> tuple:
+    """The terms c * zeta_m^e, for e in range(m) and c in `cs` nested in that
+    order, as ((e, c), row) pairs: row holds the ints of zeta_n^(e n/m)
+    (m | n) times scale * den * c, with den the common denominator of `cs`.
+    Returns (terms, den)."""
+    scaled, den = _to_int_scaled(cs)
+    return [((e, c), _power_sum(((e * (n // m), scale * s),), n)) for e in range(m) for c, s in zip(cs, scaled)], den
+
+
 def _canonical_entries(entries, m):
     """Rotation-normal form: smallest sorted tuple of (exponent, coeff)
     pairs over all rotations placing one of the roots at exponent zero."""
-    best = None
-    for e0, _ in entries:
-        cand = tuple(sorted(((e - e0) % m, c) for e, c in entries))
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(tuple(sorted(((e - e0) % m, c) for e, c in entries)) for e0, _ in entries)
 
 
 def enumerate_minimal_vanishing_sums(
@@ -330,11 +335,10 @@ def enumerate_minimal_vanishing_sums(
     cs = _validate_coeff_set(coeff_set)
     _charge(k, m, cs, m, budget)
 
-    pairs = [(e, c) for e in range(m) for c in cs]
-    scaled, _ = _to_int_scaled(cs)
+    pairs, rows = zip(*_root_terms(m, cs, m)[0])
     # one positive scale for all terms keeps every zero test, and each
     # test combines at most the k terms of one candidate
-    values = pack_vectors([_power_sum(((e, s),), m) for e in range(m) for s in scaled], k)
+    values = pack_vectors(rows, k)
 
     closers = {}
     for idx, v in enumerate(values):
@@ -429,8 +433,11 @@ def enumerate_target_relations(
     if m < 1:
         raise ValueError("modulus must be positive")
     cs = _validate_coeff_set(coeff_set)
-    _charge(k, m, cs, math.lcm(a.conductor, m), budget)
-    return _relations(a, m, _target_census([a], k, m, cs)[0])
+    n = math.lcm(a.conductor, m)
+    _charge(k, m, cs, n, budget)
+    # the row den * nums is den * a.den times the target, as are the terms' rows at scale a.den
+    terms, den = _root_terms(m, cs, n, a.den)
+    return _relations(a, m, _target_census([[den * x for x in _map_ints(a.nums, a.conductor, n)]], k, terms)[0])
 
 
 def _relations(target, m: int, found) -> list:
@@ -442,38 +449,29 @@ def _relations(target, m: int, found) -> list:
     ]
 
 
-def _target_census(targets, k: int, m: int, cs) -> list:
-    """The minimal k-term representations over mu_m of each of several
+def _target_census(targets, k: int, terms) -> list:
+    """The minimal k-term representations by `terms` of each of several
     nonzero targets, found by one prefix search.
 
-    The (k-1)-term prefixes do not depend on the target, so each prefix
-    closes every target by lookups: of each distinct target's residual
-    among the closing values, or, when the distinct targets outnumber the
-    distinct closing values, of each closing value plus the prefix sum
-    among the targets.  `cs` is a validated coefficient list; nothing is
-    charged here.  Returns one dict per target, in order, mapping each
-    exponent tuple to its first coefficient witness; no RelationTuple is
-    built (`_relations` builds them).
+    Targets are int rows and `terms` (label, int row) pairs, all at one
+    conductor and one positive scale.  The (k-1)-term prefixes do not
+    depend on the target, so each prefix closes every target by lookups:
+    of each distinct target's residual among the closing values, or, when
+    the distinct targets outnumber the distinct closing values, of each
+    closing value plus the prefix sum among the targets.  Nothing is
+    charged here.  Returns one dict per target, in order, mapping the tuple
+    of the chosen labels' first entries to the tuple of their second
+    entries found first; `_relations` builds the RelationTuples.
     """
-    conductor = math.lcm(m, *(a.conductor for a in targets))
-    terms = [(e, c) for e in range(m) for c in cs]
-    scaled, den = _to_int_scaled(cs)
-    tden = math.lcm(*(a.den for a in targets))
-    step = conductor // m  # zeta_m^e is zeta_conductor^(e step)
-    # the closing test combines a target, k - 1 prefix terms and
-    # c*zeta^e, all scaled by den * tden
-    packs = pack_vectors(
-        [[den * tden // a.den * x for x in _map_ints(a.nums, a.conductor, conductor)]
-         for a in targets]
-        + [_power_sum(((e * step, tden * s),), conductor) for e in range(m) for s in scaled],
-        k + 1,
-    )
+    labels, rows = zip(*terms)
+    # the closing test combines a target, k - 1 prefix terms and the last term
+    packs = pack_vectors([*targets, *rows], k + 1)
     apacks, tpacks = packs[: len(targets)], packs[len(targets) :]
     # terms with equal values share a closing list; each closes with its own
-    # last exponent, so the list order does not change the recorded witnesses
+    # label, so the list order does not change the recorded witnesses
     closing = {}
-    for term, p in zip(terms, tpacks):
-        closing.setdefault(p, []).append(term)
+    for label, p in zip(labels, tpacks):
+        closing.setdefault(p, []).append(label)
 
     founds = [{} for _ in targets]
     # a prefix closes a target by at most one closing value, so both lookup
@@ -510,10 +508,10 @@ def _target_census(targets, k: int, m: int, cs) -> list:
                     if last is not None:
                         record(pos, total, apack - total, last, hits)
             return
-        for term, v in zip(terms, tpacks):
+        for label, v in zip(labels, tpacks):
             if total + v in pos:
                 continue
-            prefix.append(term)
+            prefix.append(label)
             extend(depth + 1, pos.union([q + v for q in pos]), total + v)
             prefix.pop()
 
@@ -547,28 +545,27 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     witness, so that check covers the result.  Returns (worst, str of
     the witness target or None, number of targets).
     """
+    coeff_set = tuple(coeff_set)
     cs = charge_target_scan(k, m, coeff_set, budget)
     if k < 1:
         raise ValueError("length must be at least 1")
-    rows = [_power_sum(((e, 1),), m) for e in range(m)]
-    scaled, den = _to_int_scaled([_as_fraction(c) for c in coeff_set])
-    keyed = {}
-    for e1 in range(m):
-        for c1 in scaled:
-            for e2 in range(e1, m):
-                for c2 in scaled:
-                    key = tuple(c1 * x + c2 * y for x, y in zip(rows[e1], rows[e2]))
-                    if any(key) and key not in keyed:
-                        keyed[key] = _from_ints(m, key, den)
-    targets = list(keyed.values())
-    worst, witness = 0, None
-    for a, found in zip(targets, _target_census(targets, k, m, cs)):
-        if len(found) > worst:
-            worst, witness = len(found), (a, found)
-    if witness is None:
+    terms, den = _root_terms(m, cs, m)
+    row = dict(terms)
+    # each exponent's term rows in the user's coefficient order
+    sweep = [[row[e, c] for c in map(Fraction, coeff_set)] for e in range(m)]
+    sums = dict.fromkeys(
+        tuple(x + y for x, y in zip(r1, r2))
+        for e1 in range(m) for r1 in sweep[e1] for e2 in range(e1, m) for r2 in sweep[e2]
+    )
+    targets = [key for key in sums if any(key)]
+    founds = _target_census(targets, k, terms)
+    # the first target with the largest census
+    i = max(range(len(targets)), key=lambda i: len(founds[i]))
+    if not founds[i]:
         return 0, None, len(targets)
-    _relations(witness[0], m, witness[1])
-    return worst, str(witness[0]), len(targets)
+    a = _from_ints(m, targets[i], den)
+    _relations(a, m, founds[i])
+    return len(founds[i]), str(a), len(targets)
 
 
 def certify_extension(t1: RelationTuple, t2: RelationTuple):

@@ -238,6 +238,22 @@ def brute_target_relations(avec, k: int, m: int, coeff_set) -> set:
     return found
 
 
+def brute_term_census(target, k: int, rows) -> set:
+    """Ordered k-tuples of indices into `rows` whose rows sum to `target`
+    with no nonempty subset of the k rows summing to zero; every sum is
+    formed from scratch."""
+    def total(chosen):
+        return tuple(sum(col) for col in zip(*(rows[i] for i in chosen)))
+
+    found = set()
+    for idx in product(range(len(rows)), repeat=k):
+        if total(idx) != tuple(target):
+            continue
+        if all(any(total(sub)) for size in range(1, k + 1) for sub in combinations(idx, size)):
+            found.add(idx)
+    return found
+
+
 def first_vanishing_subset(terms):
     """First nonempty proper subset of the LongForm `terms` whose sum
     reduces to zero, as sorted indices, or None.

@@ -1,7 +1,9 @@
 """Vanishing-sum enumeration, certification, and the counting bounds."""
 
+import math
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +13,7 @@ from cyclolab import (
     CycNum,
     RelationTuple,
     WorkBudgetExceeded,
+    build_graph,
     certify_extension,
     certify_mann,
     chebyshev_bound_holds,
@@ -29,6 +32,7 @@ from cyclolab import (
 )
 
 import oracles
+from test_pointsets import _shifted_grid
 
 ONE = Fraction(1)
 
@@ -640,6 +644,19 @@ def test_target_scan_matches_brute_per_target(k, m, coeffs):
     assert two_term_target_scan(k, m, coeffs) == _brute_scan(k, m, coeffs)
 
 
+def _census_args(targets, k, m, cs):
+    """`_target_census` arguments for CycNum targets and the terms c z^e over
+    mu_m: the targets lifted to the lcm n of the conductors, and targets and
+    terms scaled alike by the lcm of the target denominators."""
+    from cyclolab import mann
+
+    n = math.lcm(m, *(a.conductor for a in targets))
+    lifted = [a.lift(n) for a in targets]
+    tden = math.lcm(*(a.den for a in lifted))
+    terms, den = mann._root_terms(m, cs, n, tden)
+    return [[den * tden // a.den * x for x in a.nums] for a in lifted], k, terms
+
+
 def test_target_core_matches_one_call_per_target():
     from cyclolab import mann
 
@@ -654,7 +671,7 @@ def test_target_core_matches_one_call_per_target():
     ]
     coeffs = (ONE, -ONE, Fraction(2), Fraction(1, 2))
     for k in (1, 2, 3):
-        together = mann._target_census(targets, k, 4, mann._validate_coeff_set(coeffs))
+        together = mann._target_census(*_census_args(targets, k, 4, mann._validate_coeff_set(coeffs)))
         alone = [enumerate_target_relations(a, k, 4, coeffs) for a in targets]
         # same exponents in the same order, same first coefficient witnesses
         assert [
@@ -685,8 +702,8 @@ def test_target_census_of_many_targets_matches_one_census_per_target(k, m, coeff
     # 16 distinct targets outnumber the at most 12 distinct closing values
     # c z^e; two targets do not
     for targets in (many, many[:2], [many[0], many[0]]):
-        together = mann._target_census(targets, k, m, cs)
-        alone = [mann._target_census([a], k, m, cs)[0] for a in targets]
+        together = mann._target_census(*_census_args(targets, k, m, cs))
+        alone = [mann._target_census(*_census_args([a], k, m, cs))[0] for a in targets]
         assert [list(found.items()) for found in together] == [list(found.items()) for found in alone]
         if targets is many:
             assert any(together)
@@ -708,6 +725,59 @@ def test_target_scan_builds_only_the_witness_relations(monkeypatch):
     # the witness census, each relation re-checked; all 108 censuses hold 1032
     assert len(built) == 24
     assert {t.target for t in built} == {CycNum.one() + root_of_unity(1, 6)}
+
+
+def test_target_scan_builds_one_target_value(monkeypatch):
+    from cyclolab import mann
+
+    calls = []
+    from_ints = mann._from_ints
+
+    def counting(*args):
+        calls.append(args)
+        return from_ints(*args)
+
+    monkeypatch.setattr(mann, "_from_ints", counting)
+    half = Fraction(1, 2)
+    assert two_term_target_scan(2, 6, (1, -1, 2, -2, half, -half)) == (24, "1 + z6", 108)
+    # the census reads the 108 targets as int rows; only the witness is a CycNum
+    assert len(calls) == 1
+
+
+def test_target_census_on_edge_vectors_matches_brute():
+    from cyclolab import mann
+
+    ps = _shifted_grid(3, 3)
+    vecs, _ = ps.scaled
+    edges = build_graph(ps, "rational").edges
+    # the edge vectors in both orientations, each once
+    steps = list(dict.fromkeys(tuple(map(sub, vecs[b], vecs[a])) for e in edges for a, b in (e, e[::-1])))
+    targets = [tuple(map(sub, vecs[j], vecs[i])) for i, j in ((0, 1), (0, 4), (0, 8), (2, 6), (3, 5), (7, 1))]
+    for k in (1, 2, 3):
+        brute = [oracles.brute_term_census(t, k, steps) for t in targets]
+        for scale in (1, 3):
+            terms = [((i, i), [scale * x for x in row]) for i, row in enumerate(steps)]
+            founds = mann._target_census([[scale * x for x in t] for t in targets], k, terms)
+            assert [sorted(found) for found in founds] == [sorted(b) for b in brute]
+            assert all(found[key] == key for found in founds for key in found)
+        assert any(brute)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cs: enumerate_target_relations(2, 2, 6, cs),
+        lambda cs: enumerate_minimal_vanishing_sums(2, 6, cs),
+        lambda cs: two_term_target_scan(2, 6, cs),
+        lambda cs: RelationTuple(roots=(CycNum.one(),) * 2, coeffs=cs, target=0),
+    ],
+    ids=["enumerate_target_relations", "enumerate_minimal_vanishing_sums", "two_term_target_scan",
+         "RelationTuple"],
+)
+def test_coefficient_iterator_reads_like_a_list(call):
+    assert call(iter([1, -1])) == call([1, -1])
+    with pytest.raises(ValueError, match="^coefficients must be exact rationals, not floats$"):
+        call(c for c in (1, -0.5))
 
 
 def test_target_scan_rechecks_the_witness_census(monkeypatch):
