@@ -87,8 +87,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_mann(args: argparse.Namespace) -> int:
     coeffs = _parse_coeffs(args.coeffs)
-    if args.target_scan:
-        mann.charge_target_scan(args.k, args.modulus, coeffs, args.budget)
+    # the scan is charged before any work, so a refused scan fails fast
+    scan = mann.charge_target_scan(args.k, args.modulus, coeffs, args.budget) if args.target_scan else None
     relations = mann.enumerate_minimal_vanishing_sums(
         args.k, args.modulus, coeffs, budget=args.budget
     )
@@ -104,10 +104,8 @@ def cmd_mann(args: argparse.Namespace) -> int:
         serialize.save_relations(args.out, relations)
         print(f"relations -> {args.out}")
     ok = not bad
-    if args.target_scan:
-        worst, worst_target, total = mann.two_term_target_scan(
-            args.k, args.modulus, coeffs, args.budget
-        )
+    if scan:
+        worst, worst_target, total = scan()
         bound = mann.relation_count_bound(args.k)
         print(
             f"target scan: {total} two-term targets, census max {worst} "

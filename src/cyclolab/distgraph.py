@@ -2,12 +2,15 @@
 
 Vertices are the points of a PointSet.  Two points are joined when
 their displacement is a positive rational multiple of a root of unity;
-in "unit" mode the rational length must additionally be exactly 1.  On
-top of the graph live the operations that drive the counting results:
-degree peeling, line statistics read from the point set's line table
-`PointSet.lines`, and the census of irredundant paths (paths no nonempty
-subset of whose edge vectors sums to zero), whose shortest-step rule
-reads that table too.
+in "unit" mode the rational length must additionally be exactly 1.
+Both tests depend on the displacement alone, so the graph classifies
+each distinct displacement once, keyed by the difference of the two
+points' packed ints `PointSet.packs`.  On top of the graph live the
+operations that drive the counting results: degree peeling, line
+statistics read from the point set's line table `PointSet.lines`, and
+the census of irredundant paths (paths no nonempty subset of whose edge
+vectors sums to zero), which compares the same packs and whose
+shortest-step rule reads the line table too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 from . import geometry
 from .cyclotomic import CycNum, RationalAngleForm, _from_ints, classify_rational_angle, real_sign
 from .errors import CapExceeded
-from .mann import pack_vectors, relation_count_bound
+from .mann import relation_count_bound
 from .pointsets import PointSet
 
 PATH_CAP = 8
@@ -38,8 +41,8 @@ class DistanceGraph:
     points[j] - points[i]; the reverse orientation is the same length
     with the exponent advanced by half a turn.  `adjacency`, the sorted
     neighbours of each vertex, is derived from the edges on construction.
-    The points' scaled vectors and residues are the point set's own
-    (`PointSet.scaled`, `PointSet.residues`).
+    The points' scaled vectors, residues and packs are the point set's own
+    (`PointSet.scaled`, `PointSet.residues`, `PointSet.packs`).
     """
 
     pointset: PointSet
@@ -91,31 +94,14 @@ class DistanceGraph:
         return out
 
     @cached_property
-    def _packs(self) -> list:
-        """Packed int of each point, with depth 2n (see pack_vectors).
-
-        P is additive, so points[b] - points[a] packs to _packs[b] - _packs[a].
-        The census passes down its recursion the positions _packs[source] +
-        P(sum of T) for the subsets T of its path's edges, and steps to u
-        only when _packs[u] is not one of them; each test is the zero test of
-        u - source - sum of T.  The bulk last step tests the neighbours of u
-        the same way, against the subsets of the path's edges and the step
-        to u.  Those paths are irredundant, so their vertices are distinct
-        and they hold at most n - 1 edges; a test then has at most
-        2 + 2(n - 1) = 2n signed point terms.  Every coordinate stays below
-        B / 2 in absolute value and zero tests stay exact.
-        """
-        return pack_vectors(self.pointset.scaled[0], 2 * self.n)
-
-    @cached_property
     def _near(self) -> tuple:
         """For each vertex, a dict from each neighbour's pack to that neighbour."""
-        packs = self._packs
+        packs = self.pointset.packs
         return tuple({packs[u]: u for u in adj} for adj in self.adjacency)
 
 
 def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
-    """Classify every pair of points and keep the rational-angle ones.
+    """Classify the pairs of points and keep the rational-angle ones.
 
     In "rational" mode an edge needs a rational length and a rational
     angle; "unit" mode further requires length exactly 1.
@@ -128,7 +114,11 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
     zeta_M^(2e) is an h-th root of unity, h = M / 2; so f^h != g^h (mod p)
     proves the pair has no rational angle.  In unit mode v conj(v) = den^2,
     so f g != den^2 (mod p) proves |x_j - x_i| != 1.  Each rejection is a
-    proof, and every pair that passes is classified exactly.
+    proof.  A pair that passes is looked up by the difference of its packs
+    `ps.packs`, which is equal for two pairs exactly when their
+    displacements are (see `PointSet.packs`); each distinct displacement
+    is classified exactly once, and its form, or None, serves every pair
+    that shares it.  The unit length is checked after the lookup.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -137,19 +127,23 @@ def build_graph(ps: PointSet, mode: str) -> DistanceGraph:
         return DistanceGraph(pointset=ps, mode=mode, edges={})
     vecs, den = ps.scaled
     F, G, p = ps.residues
+    packs = ps.packs
     h = math.lcm(2, ps.conductor) // 2
     unit = mode == "unit"
+    forms = {}  # pack difference -> form of that displacement, or None
     edges = {}
     for i in range(n):
-        fi, gi = F[i], G[i]
+        fi, gi, top = F[i], G[i], packs[i]
         for j in range(i + 1, n):
             f, g = F[j] - fi, G[j] - gi
             if unit and (f * g - den * den) % p or pow(f, h, p) != pow(g, h, p):
                 continue
-            form = classify_rational_angle(_from_ints(ps.conductor, tuple(map(sub, vecs[j], vecs[i])), den))
-            if form is None:
-                continue
-            if unit and form.length != 1:
+            d = packs[j] - top
+            if d not in forms:
+                w = _from_ints(ps.conductor, tuple(map(sub, vecs[j], vecs[i])), den)
+                forms[d] = classify_rational_angle(w)
+            form = forms[d]
+            if form is None or unit and form.length != 1:
                 continue
             edges[(i, j)] = form
     return DistanceGraph(pointset=ps, mode=mode, edges=edges)
@@ -201,6 +195,10 @@ def min_degree_subgraph(g: DistanceGraph, threshold) -> DistanceGraph:
         },
         seed=g.pointset.seed,
     )
+    # the survivors' zero tests combine no more points than their parent's,
+    # so the parent's packs serve them (see PointSet.packs)
+    packs = g.pointset.packs
+    sub_ps.packs = [packs[v] for v in survivors]
     # survivors are sorted, so reindexing preserves the i < j orientation
     edges = {(index[i], index[j]): form for (i, j), form in g.edges.items() if i in index and j in index}
     return DistanceGraph(pointset=sub_ps, mode=g.mode, edges=edges)
@@ -290,19 +288,26 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
     collected records.
 
     Each level of the recursion is given pos, the positions reachable from
-    _packs[source] along subsets of the path's edges, and stands on cur; a
-    step to u is irredundant iff _packs[u] is not in pos, and the next level
-    gets pos together with pos + d, d = _packs[u] - _packs[cur].  The last
+    packs[source] along subsets of the path's edges, and stands on cur; a
+    step to u is irredundant iff packs[u] is not in pos, and the next level
+    gets pos together with pos + d, d = packs[u] - packs[cur].  The last
     step is counted as it is taken, except that with no per-step rule and
     k >= 2 it is counted in bulk: each vertex u that step k - 1 reaches adds
     1 to reach[u] and takes 1 from each neighbour of u whose pack is in pos
     or in pos + d, found by lookups in _near[u], and every neighbour of a
     vertex v gains reach[v] at the end.
+
+    A step to u tests u - source - sum of T for the subsets T of the path's
+    edges, and the bulk last step tests the neighbours of u the same way,
+    against the subsets of the path's edges and the step to u.  Those
+    paths are irredundant, so their vertices are distinct and they hold at
+    most n - 1 edges; a test then has at most 2 + 2(n - 1) = 2n signed
+    point terms, within the depth of `PointSet.packs`, and stays exact.
     """
     counts = [0] * g.n
     reach = [0] * g.n
     records = []
-    packs = g._packs
+    packs = g.pointset.packs
     near = g._near
     adjacency = g.adjacency
     path = [source]

@@ -19,6 +19,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Optional
 
@@ -519,17 +520,20 @@ def _target_census(targets, k: int, terms) -> list:
     return founds
 
 
-def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET) -> list:
+def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     """Charge a whole two-term target scan against the budget, before any work.
 
     The scan censuses at most m(m+1)/2 * |cs|^2 targets in Q(zeta_m).
-    Returns the validated coefficient list.
+    Returns the charged scan: a function of no arguments that runs it and
+    returns what `two_term_target_scan` does, so a caller can fail fast
+    and run the scan later without charging it again.
     """
     if m < 1:
         raise ValueError("modulus must be positive")
+    coeff_set = tuple(coeff_set)
     cs = _validate_coeff_set(coeff_set)
     _charge(k, m, cs, m, budget, m * (m + 1) // 2 * len(cs) ** 2)
-    return cs
+    return partial(_two_term_scan, k, m, coeff_set, cs)
 
 
 def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
@@ -545,8 +549,11 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
     witness, so that check covers the result.  Returns (worst, str of
     the witness target or None, number of targets).
     """
-    coeff_set = tuple(coeff_set)
-    cs = charge_target_scan(k, m, coeff_set, budget)
+    return charge_target_scan(k, m, coeff_set, budget)()
+
+
+def _two_term_scan(k: int, m: int, coeff_set: tuple, cs: list):
+    """The scan of `two_term_target_scan`, once charged."""
     if k < 1:
         raise ValueError("length must be at least 1")
     terms, den = _root_terms(m, cs, m)

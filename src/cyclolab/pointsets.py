@@ -9,8 +9,10 @@ parameters (and seed, where one applies).  The doubling screens its
 translates by `geometry.lines_through` and confirms collinearity exactly.
 A `PointSet` owns the views the geometry and the graph read: its points
 as int vectors over their common denominator (`scaled`), one residue
-pair per point (`residues`), the exact triple test (`collinear`) and
-the table of its lines (`lines`) that the graph's line statistics read.
+pair per point (`residues`), one packed int per point (`packs`) that
+the graph's classification and its path census compare, the exact
+triple test (`collinear`) and the table of its lines (`lines`) that the
+graph's line statistics read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import add
 from . import geometry
 from .cyclotomic import CycNum, _from_ints, _map_ints, change_conductor, root_of_unity
 from .errors import CapExceeded, WorkBudgetExceeded
-from .mann import WORK_BUDGET
+from .mann import WORK_BUDGET, pack_vectors
 
 DOUBLING_CAP = 8
 POINT_BUDGET = 5000
@@ -36,7 +38,7 @@ class PointSet:
 
     `points` all carry exactly the declared conductor, and their order is
     significant: serialization preserves it byte for byte.  The derived
-    views are computed once, on first use: `scaled`, `residues`,
+    views are computed once, on first use: `scaled`, `residues`, `packs`,
     `collinear`, the set's exact triple test on point indices, and
     `lines`, the one table of which points share a line.
     """
@@ -80,6 +82,22 @@ class PointSet:
         n = self.conductor
         F, G = geometry.fingerprints(self.scaled[0], n, n)
         return F, G, geometry.residue_field(n)[0]
+
+    @cached_property
+    def packs(self) -> list:
+        """One Kronecker image per scaled point (`mann.pack_vectors`), deep
+        enough for every zero test of at most max(2n, 4) signed points.
+
+        P is additive, so points[b] - points[a] packs to packs[b] - packs[a],
+        and a signed sum of that many points vanishes exactly when the same
+        sum of their packs does.  Two differences of points are equal exactly when
+        packs[b] - packs[a] == packs[d] - packs[c], a zero test of 4 signed
+        points, so the graph keys its classification by pack differences.
+        The path census makes zero tests of up to 2n signed points (see
+        `distgraph._path_census`).  A subset of these points may be handed
+        their packs: its zero tests combine no more points than the depth.
+        """
+        return pack_vectors(self.scaled[0], max(2 * len(self), 4))
 
     @cached_property
     def collinear(self):

@@ -411,6 +411,19 @@ def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):
         mann.two_term_target_scan(2, 3000, (1,))
 
 
+@pytest.mark.parametrize("k, code", [(0, 2), (1, 2), (2, 0), (3, 0)])
+def test_mann_target_scan_charges_once(capsys, monkeypatch, k, code):
+    # the scan's charge of its m(m+1)/2 |cs|^2 targets comes first and is not
+    # repeated when the scan runs; the enumeration charges one census, and
+    # refuses k < 2 before charging
+    charge = mann._charge
+    calls = []
+    monkeypatch.setattr(mann, "_charge", lambda *args: calls.append(args[5:]) or charge(*args))
+    assert run(["mann", "--k", k, "--modulus", 6, "--coeffs=1,-1,2", "--target-scan"]) == code
+    capsys.readouterr()
+    assert calls == [(6 * 7 // 2 * 3**2,), ()][: 1 + (k >= 2)]
+
+
 def test_mann_budget_charges_the_root_table(capsys, monkeypatch):
     def no_rows(terms, m):
         raise RuntimeError(f"_power_sum at {m} reached")

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from cyclolab import (
     path_stats,
     paths_lower_bound,
     peel_vertices,
+    pointsets,
     root_of_unity,
     square_grid,
 )
@@ -125,6 +127,26 @@ def _graph_forms(g):
     return {pair: form.astuple() for pair, form in g.edges.items()}
 
 
+def _screened_differences(ps, mode):
+    """The distinct displacements x_j - x_i of the pairs i < j that pass
+    build_graph's residue screen in mode."""
+    F, G, p = ps.residues
+    den = ps.scaled[1]
+    h = math.lcm(2, ps.conductor) // 2
+    pts = ps.points
+    return {
+        pts[j] - pts[i]
+        for i, j in itertools.combinations(range(len(ps)), 2)
+        if pow(F[j] - F[i], h, p) == pow(G[j] - G[i], h, p)
+        and (mode == "rational" or (F[j] - F[i]) * (G[j] - G[i]) % p == den * den % p)
+    }
+
+
+def _edge_differences(g):
+    pts = g.pointset.points
+    return {pts[j] - pts[i] for i, j in g.edges}
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -138,7 +160,8 @@ def _graph_forms(g):
 )
 def test_residue_screen_matches_brute_classify_over_a_tiny_prime(monkeypatch, make):
     # over the tiny prime many pairs pass the screen without being edges,
-    # and each of them is decided by the exact classification
+    # and each distinct displacement among them is decided once, by the
+    # exact classification
     monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
     calls = _counting_classify(monkeypatch)
     ps = make()
@@ -148,12 +171,17 @@ def test_residue_screen_matches_brute_classify_over_a_tiny_prime(monkeypatch, ma
         form = oracles.brute_classify(pts[j] - pts[i])
         if form is not None:
             brute[(i, j)] = form
+    screened = edge_differences = 0
     for mode in distgraph.MODES:
+        calls.clear()
         g = build_graph(ps, mode)
         assert _graph_forms(g) == {
             pair: form for pair, form in brute.items() if mode == "rational" or form[0] == 1
         }, mode
-    assert len(calls) > len(brute) + sum(form[0] == 1 for form in brute.values())
+        assert len(calls) == len(_screened_differences(ps, mode)), mode
+        screened += len(calls)
+        edge_differences += len(_edge_differences(g))
+    assert screened > edge_differences
 
 
 def test_residue_screen_matches_exact_classification_on_ep5(monkeypatch):
@@ -172,14 +200,43 @@ def test_residue_screen_matches_exact_classification_on_ep5(monkeypatch):
 
 
 def test_residue_screen_leaves_few_exact_classifications(monkeypatch):
-    # 2016 pairs: the unit screen admits exactly the 208 edges
+    # 2016 pairs: the unit screen admits only the 208 edges, which have 7
+    # distinct displacements, each classified once to a length-1 form
     calls = _counting_classify(monkeypatch)
     ps = erdos_purdy(6)
-    assert build_graph(ps, "unit").edge_count == 208
-    assert len(calls) == 208
+    g = build_graph(ps, "unit")
+    assert g.edge_count == 208
+    assert len(calls) == len(_edge_differences(g)) == 7
+    assert all(classify_rational_angle(w).length == 1 for w in calls)
+    # the rational screen admits 560 pairs with 32 distinct displacements
     calls.clear()
     build_graph(ps, "rational")
-    assert len(calls) <= 560
+    assert len(calls) == len(_screened_differences(ps, "rational")) == 32
+
+
+def _unit_shifted_grid():
+    """A 4x4 grid of unit spacing moved off the lattice, so unit mode has edges."""
+    shift = CycNum(4, (Fraction(1, 3), Fraction(-2, 5)))
+    return make_pointset([p + shift for p in square_grid(4, 4).points], "shifted_grid", {})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_unit_shifted_grid, lambda: erdos_purdy(4), lambda: parallel_lines(3, 4, seed=3)],
+    ids=["shifted-grid-4x4", "ep4", "lines-3x4"],
+)
+@pytest.mark.parametrize("mode", distgraph.MODES)
+def test_build_graph_classifies_each_distinct_difference_once(monkeypatch, make, mode):
+    calls = _counting_classify(monkeypatch)
+    ps = make()
+    pts = ps.points
+    brute = {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        form = oracles.brute_classify(pts[j] - pts[i])
+        if form is not None and (mode == "rational" or form[0] == 1):
+            brute[(i, j)] = form
+    assert _graph_forms(build_graph(ps, mode)) == brute
+    assert len(set(calls)) == len(calls) > 0
 
 
 def test_degrees_and_adjacency():
@@ -494,8 +551,8 @@ def test_census_packs_deep_enough_for_three_edge_sums():
     assert census[5] == 1
 
 
-def test_path_stats_packs_once_per_graph(monkeypatch):
-    pack = distgraph.pack_vectors
+def _counting_packs(monkeypatch):
+    pack = pointsets.pack_vectors
     calls = []
 
     def counting(vectors, depth):
@@ -503,10 +560,41 @@ def test_path_stats_packs_once_per_graph(monkeypatch):
         calls.append(len(vectors))
         return pack(vectors, depth)
 
-    monkeypatch.setattr(distgraph, "pack_vectors", counting)
+    monkeypatch.setattr(pointsets, "pack_vectors", counting)
+    return calls
+
+
+def test_path_stats_packs_once_per_graph(monkeypatch):
+    calls = _counting_packs(monkeypatch)
     g = build_graph(erdos_purdy(3), "unit")
     path_stats(g, 3)
     assert calls == [g.n]
+
+
+@pytest.mark.parametrize(
+    "make, peeled_n",
+    [(lambda: erdos_purdy(5), 32), (lambda: _random_unit_sums(1), 5)],
+    ids=["ep5", "sums-1"],
+)
+def test_analyze_packs_each_point_set_once(monkeypatch, make, peeled_n):
+    # the graph and the census of the input set read one pack of its
+    # points, and the peeled set is handed its survivors' packs
+    calls = _counting_packs(monkeypatch)
+    ps = make()
+    report = analyze(ps, "unit", 3)
+    assert report.peeled_n == peeled_n
+    assert calls == [len(ps)]
+
+
+def test_handed_packs_serve_the_peeled_census():
+    g = build_graph(_random_unit_sums(1), "unit")
+    sub = min_degree_subgraph(g, Fraction(g.edge_count, 2 * g.n))
+    assert 2 <= sub.n < g.n
+    # the same points, packed on their own at their own depth
+    ps = sub.pointset
+    fresh = DistanceGraph(pointset=make_pointset(ps.points, "fresh", {}), mode="unit", edges=sub.edges)
+    for k in (1, 2, 3):
+        assert path_stats(sub, k) == path_stats(fresh, k)
 
 
 def test_census_count_consistency():
