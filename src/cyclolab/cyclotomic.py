@@ -6,12 +6,14 @@ reduced modulo the N-th cyclotomic polynomial.  The coefficients are int
 numerators over one positive denominator, in lowest terms, and all
 arithmetic runs on those ints; `Fraction`s appear only at the boundary
 (the public constructor and the `coeffs` view).  Equality and the zero
-test are exact because the representation is canonical.  Hashing and
-`min_conductor` descend to the smallest conductor one prime at a time,
-reading the coordinates over each subfield from rows of powers of zeta,
-so one exact pass decides each prime.  Since Phi_N(x) = Phi_r(x^(N/r))
-with r the product of the primes dividing N, every power of zeta_N is a
-row of the table of zeta_r spread out, and one routine (`_power_sum`)
+test are exact because the representation is canonical.  Hashing,
+`min_conductor` and `change_conductor` (to a conductor that the
+element's own does not divide) descend to the smallest conductor one
+prime at a time, reading the coordinates over each subfield from rows of
+powers of zeta, so one exact pass decides each prime; nothing else in the
+package descends.  Since Phi_N(x) = Phi_r(x^(N/r)) with r the product of
+the primes dividing N, every power of zeta_N is a row of the table of
+zeta_r spread out, and one routine (`_power_sum`)
 writes every sum of powers of zeta_N from those rows: products, the
 constructor's reduction of a long polynomial, lifts, Galois maps, the
 descent, the collinearity pairing and the root rows of `mann` all read

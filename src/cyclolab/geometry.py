@@ -138,12 +138,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_SMALL_PRIMES = math.prod((
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
-))  # the primes below 200
-
-
 # P - 1 = 14 lcm(1..42) = 2^6 3^3 5^2 7^2 11 13 17 19 23 29 31 37 41, and 43
 # generates (Z/P)^*: every conductor the constructions reach divides P - 1
 SMOOTH_PRIME = 14 * math.lcm(*range(1, 43)) + 1
@@ -159,23 +153,20 @@ def residue_field(n: int) -> tuple:
     is 1 (mod n) and above 2^61, so the search below would have stopped at
     P or before, and every norm bound that held for its prime holds for P.
 
-    For any other n, p is the first prime = 1 (mod n) above 2^61, and omega
-    = g^((p-1)/n) for the first g = 2, 3, ... that gives order n.  A
-    candidate p with a prime factor below 200 is dropped by one gcd before
-    Miller-Rabin, and g^((p-1)/n) for a composite g is the product of the
-    powers already taken at its least prime factor f and at g / f.
+    For any other n, such as a conductor of 43 read from a file (no
+    construction makes one), p is the first prime = 1 (mod n) above 2^61,
+    by Miller-Rabin on each candidate, and omega = g^((p-1)/n) for the
+    first g = 2, 3, ... that gives order n.
     """
     if (SMOOTH_PRIME - 1) % n == 0:
         p = SMOOTH_PRIME
         omega = pow(43, (p - 1) // n, p)
     else:
         p = (2**61 // n + 1) * n + 1
-        while math.gcd(p, _SMALL_PRIMES) != 1 or not _is_prime(p):
+        while not _is_prime(p):
             p += n
-        powers = {}
         for g in range(2, p):
-            f = _prime_factors(g)[0]
-            omega = powers[g] = pow(g, (p - 1) // n, p) if f == g else powers[f] * powers[g // f] % p
+            omega = pow(g, (p - 1) // n, p)
             if all(pow(omega, n // q, p) != 1 for q in _prime_factors(n)):
                 break
     assert _horner(cyclotomic_polynomial(n), omega, p) == 0, f"omega is no root of Phi_{n} mod {p}"

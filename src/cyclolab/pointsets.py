@@ -5,8 +5,11 @@ keeps every pair in general position while doubling the number of unit,
 rational-angle pairs; an axis-aligned square grid; and clusters of
 points spread over horizontal lines with no three points collinear
 across distinct lines.  All constructions are reproducible from their
-parameters (and seed, where one applies).  The doubling screens its
-translates by `geometry.lines_through` and confirms collinearity exactly.
+parameters (and seed, where one applies).  The doubling tries each root
+of unity as an exponent pair and refuses a translate whose union with
+the set repeats a point, compared exactly among points that share a
+residue pair, or has a collinear triple, screened by
+`geometry.lines_through` and confirmed exactly.
 A `PointSet` owns the views the geometry and the graph read: its points
 as int vectors over their common denominator (`scaled`), one residue
 pair per point (`residues`), one packed int per point (`packs`) that
@@ -22,9 +25,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import add
 from . import geometry
-from .cyclotomic import CycNum, _from_ints, _map_ints, change_conductor, root_of_unity
+from .cyclotomic import CycNum, _from_ints, _map_ints, _power_sum
 from .errors import CapExceeded, WorkBudgetExceeded
 from .mann import WORK_BUDGET, pack_vectors
 
@@ -37,10 +39,12 @@ class PointSet:
     """A finite list of distinct plane points over one cyclotomic field.
 
     `points` all carry exactly the declared conductor, and their order is
-    significant: serialization preserves it byte for byte.  The derived
-    views are computed once, on first use: `scaled`, `residues`, `packs`,
-    `collinear`, the set's exact triple test on point indices, and
-    `lines`, the one table of which points share a line.
+    significant: serialization preserves it byte for byte.  The name,
+    params and seed obey the point set loader's rules, so a saved set
+    loads back.  The derived views are computed once, on first use:
+    `scaled`, `residues`, `packs`, `collinear`, the set's exact triple
+    test on point indices, and `lines`, the one table of which points
+    share a line.
     """
 
     conductor: int
@@ -60,8 +64,17 @@ class PointSet:
             if key in seen:
                 raise ValueError(f"points are not distinct: {p!r} repeats")
             seen.add(key)
+        # the rules and messages of `serialize.obj_to_pointset`, so what is saved loads
+        if not isinstance(self.provenance, dict):
+            raise ValueError("provenance must be an object")
         if "name" not in self.provenance:
             raise ValueError("provenance must name the construction")
+        if not isinstance(self.provenance["name"], str):
+            raise ValueError("provenance name must be a string")
+        if not isinstance(self.provenance.get("params", {}), dict):
+            raise ValueError("provenance params must be an object")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -149,7 +162,8 @@ def make_pointset(points, name: str, params: dict, seed: int = 0) -> PointSet:
 # ---------------------------------------------------------------------------
 
 def _root_candidates():
-    """All roots of unity, ordered by order and then exponent.
+    """Every root of unity zeta_m^e as its pair (e, m), ordered by order m
+    and then exponent e.
 
     Non-primitive pairs (e, m) are skipped; they denote roots already
     seen at a smaller order, so the acceptance order is unchanged.
@@ -157,33 +171,46 @@ def _root_candidates():
     for m in itertools.count(1):
         for e in range(m):
             if math.gcd(e, m) == 1:
-                yield root_of_unity(e, m)
+                yield e, m
 
 
-def _translate_union(vecs, n, a, big, prints):
+def _translate_union(vecs, n, q, big, prints):
     """The int vectors at conductor big of P + (P + a) and their
-    `geometry.fingerprints` at big, or None if that union has a collinear
-    triple; P is `vecs` at conductor n, with no collinear triple, and
-    `prints` its fingerprints into conductor big.
+    `geometry.fingerprints` at big, or None if that union repeats a point
+    or has a collinear triple; P is `vecs` at conductor n, with no
+    collinear triple, `prints` its fingerprints into conductor big, and
+    the translate a = zeta_big^q.
 
-    Point k < m is x_k and point m + k is x_k + a.  Only triples at an
-    anchor x_i with a translate among the other two need a test, and
-    `geometry.lines_through` makes them with the lazily lifted exact test.
+    Point k < m is x_k and point m + k is x_k + a.  Equal points share
+    their residue pair, so only when some pair repeats are the points
+    that share it compared exactly.  (The line scan would refuse a repeat
+    too, as two equal points are collinear with any third, but only by an
+    exact pairing.)  Only triples at an anchor x_i with a translate among
+    the other two need a test, and `geometry.lines_through` makes them
+    with the lazily lifted exact test.
     """
-    p = geometry.residue_field(big)[0]
+    p, omega = geometry.residue_field(big)
     m = len(vecs)
-    (fa,), (ga,) = geometry.fingerprints([a.nums], a.conductor, big)
+    fa, ga = pow(omega, q, p), pow(omega, -q % big, p)
     F = prints[0] + [(f + fa) % p for f in prints[0]]
     G = prints[1] + [(g + ga) % p for g in prints[1]]
+    a = _power_sum(((q, 1),), big)
     lifted = {}
 
     def point(k):
         if k not in lifted:
             x = _map_ints(vecs[k % m], n, big)
-            if k >= m:
-                x = [s + t for s, t in zip(x, _map_ints(a.nums, a.conductor, big))]
-            lifted[k] = x
+            lifted[k] = [s + t for s, t in zip(x, a)] if k >= m else x
         return lifted[k]
+
+    pairs = list(zip(F, G))
+    if len(set(pairs)) < 2 * m:
+        earlier = {}
+        for k, pair in enumerate(pairs):
+            same = earlier.setdefault(pair, [])
+            if any(point(j) == point(k) for j in same):
+                return None
+            same.append(k)
 
     def collinear(i, k, j):  # P has no collinear triple
         return j >= m and geometry.exact_collinear(point(i), point(k), point(j), big)
@@ -195,35 +222,15 @@ def _translate_union(vecs, n, a, big, prints):
     return [point(k) for k in range(2 * m)], (F, G)
 
 
-def _difference_test(vecs, n, prints):
-    """The test of whether x + a is in `vecs` for some x in it, on int vectors
-    a_nums at conductor n, like the vecs.  With `prints` the fingerprints
-    of vecs at n, only an x with F_x + f_a among the F residues can pass,
-    since x + a = y forces equal residues, and each such x is confirmed
-    exactly."""
-    have = set(map(tuple, vecs))
-    p, omega = geometry.residue_field(n)
-    F = prints[0]
-    residues = set(F)
-
-    def test(a_nums):
-        fa = geometry._horner(a_nums, omega, p)
-        return any(
-            tuple(map(add, vecs[k], a_nums)) in have for k, f in enumerate(F) if (f + fa) % p in residues
-        )
-
-    return test
-
-
 def erdos_purdy(levels: int) -> PointSet:
     """Translation doubling starting from {0, 1}.
 
     Each level picks the first root of unity `a` (in candidate order)
-    that is not a difference of current points and keeps the union
-    P + (P translated by a) free of collinear triples, then doubles.
-    The result has 2^levels points, no three collinear, and at least
-    twice the previous number of unit rational-angle pairs plus one new
-    unit pair per old point.
+    for which the union P + (P translated by a) repeats no point, so `a`
+    is no difference of current points, and has no collinear triple,
+    then doubles.  The result has 2^levels points, no three collinear,
+    and at least twice the previous number of unit rational-angle pairs
+    plus one new unit pair per old point.
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
@@ -235,17 +242,11 @@ def erdos_purdy(levels: int) -> PointSet:
     prints = {1: geometry.fingerprints(vecs, 1, 1)}  # residues of vecs, by target conductor
 
     for _ in range(levels - 1):
-        # the union's fingerprints at its conductor screen the next level
-        is_difference = _difference_test(vecs, conductor, prints[conductor])
-        for a in _root_candidates():
-            # a = q - p for points p, q iff p + a is a point; a root
-            # outside Q(zeta_conductor) is no difference of points
-            if conductor % a.min_conductor() == 0 and is_difference(change_conductor(a, conductor).nums):
-                continue
-            big = math.lcm(conductor, a.conductor)
+        for e, m in _root_candidates():
+            big = math.lcm(conductor, m)
             if big not in prints:
                 prints[big] = geometry.fingerprints(vecs, conductor, big)
-            union = _translate_union(vecs, conductor, a, big, prints[big])
+            union = _translate_union(vecs, conductor, e * (big // m), big, prints[big])
             if union is not None:
                 vecs, union_prints = union
                 conductor, prints = big, {big: union_prints}
@@ -324,7 +325,7 @@ def parallel_lines(lines: int, per_line: int, seed: int = 0) -> PointSet:
             f"placing {lines} lines of {per_line} points walks {pairs} point pairs, "
             f"over the {WORK_BUDGET}-pair limit",
         )
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError("seed must be an integer")
     skip = seed % 997
 

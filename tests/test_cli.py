@@ -483,6 +483,28 @@ def test_gen_analyze_paths_build_root_tables_at_squarefree_conductors_only(tmp_p
     assert all(m % (q * q) for m in built for q in range(2, math.isqrt(m) + 1)), built
 
 
+def test_no_cli_command_descends_to_the_minimal_conductor(tmp_path, monkeypatch, capsys):
+    # only hashing, min_conductor and change_conductor descend, and no
+    # command needs them; a cached root may hold its descent already
+    def refuse(*args):
+        raise AssertionError("descended to the minimal conductor")
+
+    cyclotomic.root_of_unity.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_descend_to_minimal", refuse)
+    ep, grid, lines = tmp_path / "ep6.json", tmp_path / "grid.json", tmp_path / "lines.json"
+    rep, csv, rel = tmp_path / "rep.json", tmp_path / "rep.csv", tmp_path / "rel.json"
+    assert run(["gen", "erdos-purdy", "--levels", 6, "--out", ep]) == 0
+    assert run(["gen", "grid", "--rows", 3, "--cols", 3, "--out", grid]) == 0
+    assert run(["gen", "lines", "--lines", 3, "--per-line", 3, "--out", lines]) == 0
+    assert run(["analyze", "--in", ep, "--mode", "unit", "--k", 3, "--out", rep, "--csv", csv]) == 0
+    assert run(["analyze", "--in", lines, "--mode", "rational"]) == 0
+    for scope in ("all", "neighbors"):
+        assert run(["paths", "--in", grid, "--k", 2, "--shortest", "--scope", scope]) == 0
+    assert run(["mann", "--k", 2, "--modulus", 6, "--target-scan", "--out", rel]) == 0
+    assert run(["report", "--in", rep]) == 0
+    assert capsys.readouterr().err == ""
+
+
 _JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a')

@@ -24,6 +24,7 @@ from cyclolab import (
     path_stats,
     pointsets,
     root_of_unity,
+    serialize,
     square_grid,
 )
 from cyclolab.errors import WorkBudgetExceeded
@@ -74,6 +75,41 @@ def test_pointset_conductor_must_match():
             points=(CycNum.one(), root_of_unity(1, 4)),
             provenance={"name": "x"},
         )
+
+
+def _loader_error(provenance):
+    doc = serialize.pointset_to_obj(make_pointset([0, 1], "x", {}))
+    doc["provenance"] = {**doc["provenance"], **provenance} if isinstance(provenance, dict) else provenance
+    with pytest.raises(ValueError) as info:
+        serialize.obj_to_pointset(doc)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "build, provenance",
+    [
+        (lambda: parallel_lines(2, 2, seed=True), {"seed": True}),
+        (lambda: make_pointset([0, 1], "x", {}, seed=True), {"seed": True}),
+        (lambda: make_pointset([0, 1], "x", {}, seed=1.0), {"seed": 1.0}),
+        (lambda: make_pointset([0, 1], 5, {}), {"name": 5}),
+        (lambda: PointSet(conductor=1, points=(), provenance={"name": "x", "params": [1]}), {"params": [1]}),
+        (lambda: PointSet(conductor=1, points=(), provenance="name"), "name"),
+    ],
+    ids=["lines-bool-seed", "bool-seed", "float-seed", "int-name", "list-params", "str-provenance"],
+)
+def test_pointset_refuses_provenance_its_loader_refuses(build, provenance):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == _loader_error(provenance)
+
+
+def test_valid_provenance_round_trips_unchanged(tmp_path):
+    for ps in (parallel_lines(2, 2, seed=3), make_pointset([0, 1], "x", {"a": [1, "b"]}, seed=-4), erdos_purdy(2)):
+        path = tmp_path / "ps.json"
+        serialize.save_json(path, serialize.pointset_to_obj(ps))
+        back = serialize.load_pointset(path)
+        assert (back.provenance, back.seed, back.points) == (ps.provenance, ps.seed, ps.points)
+        assert serialize.canonical_json(serialize.pointset_to_obj(back)) == path.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +251,6 @@ def test_fingerprints_match_horner_on_dense_and_sparse_vectors(n, big):
         assert G == [geometry._horner(x, pow(eta, -1, p), p) for x in vecs], (n, big, density)
 
 
-def test_difference_screen_matches_the_exact_test_over_a_tiny_prime(monkeypatch):
-    # at conductor 4 the tiny prime is 5, so residues collide all the time
-    monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
-    rng = random.Random(3)
-    found = 0
-    for _ in range(100):
-        vecs = list({(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, 8))})
-        screened = pointsets._difference_test(vecs, 4, geometry.fingerprints(vecs, 4, 4))
-        for a in [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(20)]:
-            expected = any((x[0] + a[0], x[1] + a[1]) in vecs for x in vecs)
-            assert screened(a) == expected, (vecs, a)
-            found += expected
-    assert found > 50
-
-
 def test_erdos_purdy_small_prime_confirms_collisions_exactly(monkeypatch):
     # over a tiny prime most residue collisions are false; each must be
     # refuted by exact arithmetic, so the points cannot change
@@ -245,11 +266,13 @@ def test_erdos_purdy_small_prime_confirms_collisions_exactly(monkeypatch):
 
 def test_translate_union_matches_cubic_oracle_over_a_tiny_prime(monkeypatch):
     # at conductor 4 the tiny prime is 5, so points often share a residue
-    # direction or have no usable one, and every such case is decided exactly
+    # direction or have no usable one, distinct points of a union often share
+    # their residue pair, and every such case is decided exactly; a repeated
+    # point is refused by the point comparison, before any exact pairing
     monkeypatch.setattr(geometry, "residue_field", _small_residue_field)
+    calls = _count_pair_vecs(monkeypatch)
     rng = random.Random(11)
-    roots = [root_of_unity(e, 4) for e in range(4)]
-    keyless = checked = 0
+    keyless = repeated = collisions = checked = 0
     while checked < 400:
         pts = [CycNum(4, (rng.randint(-6, 6), rng.randint(-6, 6))) for _ in range(rng.randint(3, 5))]
         if len(set(pts)) < len(pts) or oracles.collinear_triples(pts):
@@ -257,19 +280,24 @@ def test_translate_union_matches_cubic_oracle_over_a_tiny_prime(monkeypatch):
         vecs = [p.nums for p in pts]
         prints = geometry.fingerprints(vecs, 4, 4)
         keyless += len(prints[1]) - len(set(prints[1]))  # pairs in P with G_i = G_j
-        for a in roots:
-            union = pts + [p + a for p in pts]
+        for q in range(4):
+            union = pts + [p + root_of_unity(q, 4) for p in pts]
+            before = len(calls)
+            got = pointsets._translate_union(vecs, 4, q, 4, prints)
+            pairs = list(zip(*geometry.fingerprints([x.nums for x in union], 4, 4)))
+            collisions += sum(x != y and s == t for (x, s), (y, t) in combinations(zip(union, pairs), 2))
             if len(set(union)) < len(union):
-                continue
-            got = pointsets._translate_union(vecs, 4, a, 4, prints)
-            if oracles.collinear_triples(union):
-                assert got is None, (pts, a)
+                assert got is None and len(calls) == before, (pts, q)
+                repeated += 1
+            elif oracles.collinear_triples(union):
+                assert got is None, (pts, q)
             else:
                 got_vecs, got_prints = got
-                assert [CycNum(4, v) for v in got_vecs] == union, (pts, a)
-                assert list(got_prints) == geometry.fingerprints(got_vecs, 4, 4), (pts, a)
+                assert [CycNum(4, v) for v in got_vecs] == union, (pts, q)
+                assert list(got_prints) == geometry.fingerprints(got_vecs, 4, 4), (pts, q)
             checked += 1
     assert keyless > 100
+    assert repeated > 10 and collisions > 100, (repeated, collisions)
 
 
 def test_erdos_purdy_validation():
