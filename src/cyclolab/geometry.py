@@ -89,19 +89,32 @@ def lines_through(i, js, F, G, p, same):
     and a keyless j against every line.  Keys are kept times the product
     of every nonzero G_j - G_i, one factor for all, so none is inverted.
     """
+    fi = F[i]
     dgs = [(G[j] - G[i]) % p for j in js]
-    factors = [d or 1 for d in dgs]
-    before = list(itertools.accumulate(factors, lambda a, b: a * b % p, initial=1))
-    after = list(itertools.accumulate(factors[::-1], lambda a, b: a * b % p, initial=1))[::-1]
+    # before[t] and after[t] multiply the nonzero dgs before t and after t
+    before, after, acc = [], [], 1
+    for d in dgs:
+        before.append(acc)
+        if d:
+            acc = acc * d % p
+    acc = 1
+    for d in reversed(dgs):
+        after.append(acc)
+        if d:
+            acc = acc * d % p
+    after.reverse()
     lines, keyless, keyed = [], [], {}
-    for t, (j, dg) in enumerate(zip(js, dgs)):
+    for j, dg, b, a in zip(js, dgs, before, after):
         if dg:
-            group = keyed.setdefault((F[j] - F[i]) * before[t] * after[t + 1] % p, [])
-            rivals = itertools.chain(group, keyless)
+            group = keyed.setdefault((F[j] - fi) * b * a % p, [])
+            rivals = itertools.chain(group, keyless) if keyless else group
         else:
             group, rivals = keyless, lines
-        line = next((line for line in rivals if same(line[0], j)), [])
-        if not line:
+        for line in rivals:
+            if same(line[0], j):
+                break
+        else:
+            line = []
             lines.append(line)
             group.append(line)
         line.append(j)

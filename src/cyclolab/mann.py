@@ -351,21 +351,22 @@ def enumerate_minimal_vanishing_sums(
         # pos holds the sums of all subsets of the chosen terms and total
         # the sum of them all; v makes a nonempty subset vanish iff
         # total + v = sum(U) for some subset U, i.e. total + v is in pos
-        if remaining == 1:
-            # a closing term leaves no vanishing proper subset: a proper
-            # subset of the chosen terms plus it sums to minus the rest,
-            # which no chosen subset does
-            for idx in closers.get(-total, ()):
-                if idx >= min_idx:
-                    entries = tuple(pairs[i] for i in chosen) + (pairs[idx],)
-                    found.add(_canonical_entries(entries, m))
-            return
         for idx in range(min_idx, stop):
             v = values[idx]
             if total + v in pos:
                 continue
             chosen.append(idx)
-            extend(idx, len(pairs), remaining - 1, pos.union([q + v for q in pos]), total + v)
+            if remaining == 2:
+                # the last term closes by lookup, with no subset sums of its
+                # own: it leaves no vanishing proper subset, as a proper
+                # subset of the chosen terms plus it sums to minus the rest,
+                # which no chosen subset does
+                for last in closers.get(-(total + v), ()):
+                    if last >= idx:
+                        entries = tuple(pairs[i] for i in chosen) + (pairs[last],)
+                        found.add(_canonical_entries(entries, m))
+            else:
+                extend(idx, len(pairs), remaining - 1, pos.union([q + v for q in pos]), total + v)
             chosen.pop()
 
     # the pivot term is at exponent zero, one of the first len(cs) pairs;
@@ -481,42 +482,38 @@ def _target_census(targets, k: int, terms) -> list:
     for apack, found in zip(apacks, founds):
         by_pack.setdefault(apack, []).append(found)
     by_closing = len(by_pack) > len(closing)
-    prefix = []
 
-    def record(pos, total, residual, last, hits):
+    def record(pos, total, residual, last, hits, exps, cos):
         # any proper subset containing the last term would sum to zero
         # iff -residual already occurs among the prefix subset sums
         if total + residual in pos:
             return
-        exps = tuple(e0 for e0, _ in prefix)
-        cos = tuple(c0 for _, c0 in prefix)
         for found in hits:
             for e, c in last:
                 found.setdefault(exps + (e,), cos + (c,))
 
-    def extend(depth, pos, total):
+    def extend(depth, pos, total, exps, cos):
         # pos holds the prefix subset sums and total the prefix sum, as in
-        # enumerate_minimal_vanishing_sums
+        # enumerate_minimal_vanishing_sums; exps and cos hold the first and
+        # second entries of the prefix's labels
         if depth == k - 1:
             if by_closing:
                 for residual, last in closing.items():
                     hits = by_pack.get(total + residual)
                     if hits is not None:
-                        record(pos, total, residual, last, hits)
+                        record(pos, total, residual, last, hits, exps, cos)
             else:
                 for apack, hits in by_pack.items():
                     last = closing.get(apack - total)
                     if last is not None:
-                        record(pos, total, apack - total, last, hits)
+                        record(pos, total, apack - total, last, hits, exps, cos)
             return
-        for label, v in zip(labels, tpacks):
+        for (e, c), v in zip(labels, tpacks):
             if total + v in pos:
                 continue
-            prefix.append(label)
-            extend(depth + 1, pos.union([q + v for q in pos]), total + v)
-            prefix.pop()
+            extend(depth + 1, pos.union([q + v for q in pos]), total + v, exps + (e,), cos + (c,))
 
-    extend(0, frozenset((0,)), 0)
+    extend(0, frozenset((0,)), 0, (), ())
     return founds
 
 
@@ -557,14 +554,22 @@ def _two_term_scan(k: int, m: int, coeff_set: tuple, cs: list):
     if k < 1:
         raise ValueError("length must be at least 1")
     terms, den = _root_terms(m, cs, m)
-    row = dict(terms)
-    # each exponent's term rows in the user's coefficient order
-    sweep = [[row[e, c] for c in map(Fraction, coeff_set)] for e in range(m)]
-    sums = dict.fromkeys(
-        tuple(x + y for x, y in zip(r1, r2))
-        for e1 in range(m) for r1 in sweep[e1] for e2 in range(e1, m) for r2 in sweep[e2]
-    )
-    targets = [key for key in sums if any(key)]
+    labels, rows = zip(*terms)
+    # r1 + r2 = r1' + r2' is a zero test of four signed rows, r1 + r2 = 0 one of two
+    packed = dict(zip(labels, zip(pack_vectors(rows, 4), rows)))
+    # each exponent's (pack, row) pairs in the user's coefficient order
+    sweep = [[packed[e, c] for c in map(Fraction, coeff_set)] for e in range(m)]
+    # each distinct nonzero sum keyed by its pack, in sweep order, with the
+    # int row of its first occurrence
+    firsts = {}
+    for e1 in range(m):
+        for p1, r1 in sweep[e1]:
+            for e2 in range(e1, m):
+                for p2, r2 in sweep[e2]:
+                    key = p1 + p2
+                    if key and key not in firsts:
+                        firsts[key] = [x + y for x, y in zip(r1, r2)]
+    targets = list(firsts.values())
     founds = _target_census(targets, k, terms)
     # the first target with the largest census
     i = max(range(len(targets)), key=lambda i: len(founds[i]))

@@ -487,6 +487,10 @@ def test_enumerate_budget():
         # the subset sums of the chosen terms pass three and four levels down
         (4, 6, (ONE, Fraction(2))),
         (5, 10, (ONE,)),
+        # terms of equal value (z^3 and -1) share a closer list, and at k = 2
+        # the last term closes by lookup at the pivot level
+        (2, 6, (ONE, -ONE)),
+        (3, 12, (ONE, -ONE)),
     ],
 )
 def test_enumerate_matches_brute_oracle(k, m, coeffs):
@@ -742,6 +746,36 @@ def test_target_scan_builds_one_target_value(monkeypatch):
     assert two_term_target_scan(2, 6, (1, -1, 2, -2, half, -half)) == (24, "1 + z6", 108)
     # the census reads the 108 targets as int rows; only the witness is a CycNum
     assert len(calls) == 1
+
+
+def test_target_scan_targets_match_row_dedupe(monkeypatch):
+    from cyclolab import mann
+
+    seen = []
+    census = mann._target_census
+
+    def capturing(targets, *args):
+        seen.append([tuple(t) for t in targets])
+        return census(targets, *args)
+
+    monkeypatch.setattr(mann, "_target_census", capturing)
+    half = Fraction(1, 2)
+    coeffs = (1, -1, 2, -2, half, -half)
+    two_term_target_scan(2, 6, coeffs)
+    # over mu_6 with +-c, distinct (e, c) give equal rows: z^3 = -1
+    rows = dict(mann._root_terms(6, sorted(map(Fraction, coeffs)), 6)[0])
+    assert rows[3, ONE] == rows[0, -ONE]
+    sweep = [[rows[e, Fraction(c)] for c in coeffs] for e in range(6)]
+    expected = []
+    for e1 in range(6):
+        for r1 in sweep[e1]:
+            for e2 in range(e1, 6):
+                for r2 in sweep[e2]:
+                    row = tuple(map(sum, zip(r1, r2)))
+                    if any(row) and row not in expected:
+                        expected.append(row)
+    assert seen == [expected]
+    assert len(expected) == 108
 
 
 def test_target_census_on_edge_vectors_matches_brute():
