@@ -49,7 +49,6 @@ from .pointsets import (
 from .distgraph import (
     AnalysisReport,
     DistanceGraph,
-    PathRecord,
     analyze,
     build_graph,
     count_irredundant_paths,
@@ -57,7 +56,6 @@ from .distgraph import (
     max_points_on_line,
     min_degree_subgraph,
     noncollinear_two_path_stats,
-    path_direction_tuple,
     path_stats,
     paths_lower_bound,
     peel_vertices,
@@ -111,7 +109,6 @@ __all__ = [
     "square_grid",
     "AnalysisReport",
     "DistanceGraph",
-    "PathRecord",
     "analyze",
     "build_graph",
     "count_irredundant_paths",
@@ -119,7 +116,6 @@ __all__ = [
     "max_points_on_line",
     "min_degree_subgraph",
     "noncollinear_two_path_stats",
-    "path_direction_tuple",
     "path_stats",
     "paths_lower_bound",
     "peel_vertices",

@@ -227,16 +227,6 @@ def max_points_on_line(ps: PointSet):
 # irredundant paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathRecord:
-    """One enumerated path: vertices visited and exact edge displacements."""
-
-    vertices: tuple
-    edge_vectors: tuple
-    irredundant: bool
-    shortest: bool
-
-
 def paths_lower_bound(delta, k: int):
     """prod over l < k of max(0, delta - 2^l + 1).
 
@@ -283,19 +273,31 @@ def _check_path_args(k: int, vertex_scope: str) -> None:
         raise CapExceeded(f"path length capped at {PATH_CAP}, got {k}")
 
 
-def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
-    """Endpoint -> count of the irredundant k-edge paths from source, and the
-    collected records.
+def irredundant_path_census(
+    g: DistanceGraph,
+    source: int,
+    k: int,
+    shortest_only: bool = False,
+    vertex_scope: str = "all",
+) -> dict:
+    """Endpoint -> count of the irredundant k-edge paths from source.
+
+    A path is irredundant when no nonempty subset of its edge vectors
+    sums to zero; pruning is exact, so revisited vertices and cancelling
+    detours never appear.  With shortest_only, each step must also be
+    strictly shorter than the distance from its start to every other
+    unused vertex on its line (vertex_scope "all" checks all graph
+    vertices, "neighbors" only the start's neighbours).
 
     Each level of the recursion is given pos, the positions reachable from
     packs[source] along subsets of the path's edges, and stands on cur; a
     step to u is irredundant iff packs[u] is not in pos, and the next level
     gets pos together with pos + d, d = packs[u] - packs[cur].  The last
-    step is counted as it is taken, except that with no per-step rule and
-    k >= 2 it is counted in bulk: each vertex u that step k - 1 reaches adds
-    1 to reach[u] and takes 1 from each neighbour of u whose pack is in pos
-    or in pos + d, found by lookups in _near[u], and every neighbour of a
-    vertex v gains reach[v] at the end.
+    step is counted as it is taken, except that without shortest_only and
+    with k >= 2 it is counted in bulk: each vertex u that step k - 1 reaches
+    adds 1 to reach[u] and takes 1 from each neighbour of u whose pack is
+    in pos or in pos + d, found by lookups in _near[u], and every neighbour
+    of a vertex v gains reach[v] at the end.
 
     A step to u tests u - source - sum of T for the subsets T of the path's
     edges, and the bulk last step tests the neighbours of u the same way,
@@ -304,19 +306,20 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
     most n - 1 edges; a test then has at most 2 + 2(n - 1) = 2n signed
     point terms, within the depth of `PointSet.packs`, and stays exact.
     """
+    _check_path_args(k, vertex_scope)
+    if not 0 <= source < g.n:
+        raise ValueError("vertex index out of range")
     counts = [0] * g.n
     reach = [0] * g.n
-    records = []
     packs = g.pointset.packs
     near = g._near
     adjacency = g.adjacency
     path = [source]
-    bulk = not (shortest_only or collect)
 
     def rec(cur, pos, depth):
         top = packs[cur]
         last = depth == k - 1
-        ends_here = bulk and depth == k - 2
+        ends_here = not shortest_only and depth == k - 2
         for u in adjacency[cur]:
             if packs[u] in pos:
                 continue
@@ -324,10 +327,6 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
                 continue
             if last:
                 counts[u] += 1
-                if collect and u == target:
-                    path.append(u)
-                    records.append(_make_record(g, path, shortest_only))
-                    path.pop()
                 continue
             d = packs[u] - top
             if ends_here:
@@ -350,15 +349,7 @@ def _path_census(g, source, k, shortest_only, vertex_scope, collect, target):
         if r:
             for w in adjacency[v]:
                 counts[w] += r
-    return {w: c for w, c in enumerate(counts) if c}, records
-
-
-def _make_record(g, path, shortest):
-    pts = g.pointset.points
-    vecs = tuple(pts[b] - pts[a] for a, b in zip(path, path[1:]))
-    return PathRecord(
-        vertices=tuple(path), edge_vectors=vecs, irredundant=True, shortest=shortest
-    )
+    return {w: c for w, c in enumerate(counts) if c}
 
 
 def count_irredundant_paths(
@@ -368,40 +359,16 @@ def count_irredundant_paths(
     k: int,
     shortest_only: bool = False,
     vertex_scope: str = "all",
-    collect: bool = False,
-):
-    """Number of irredundant k-edge paths from v to w.
-
-    A path is irredundant when no nonempty subset of its edge vectors
-    sums to zero; pruning is exact, so revisited vertices and cancelling
-    detours never appear.  With shortest_only, each step must also be
-    strictly shorter than the distance from its start to every other
-    unused vertex on its line (vertex_scope "all" checks all graph
-    vertices, "neighbors" only the start's neighbours).  With collect,
-    returns (count, list of PathRecords).
-    """
-    _check_path_args(k, vertex_scope)
-    if not (0 <= v < g.n and 0 <= w < g.n):
+) -> int:
+    """Number of irredundant k-edge paths from v to w: the entry for w in
+    irredundant_path_census from v, whose keyword arguments these are."""
+    if not 0 <= w < g.n:
         raise ValueError("vertex index out of range")
     if v == w:
         raise ValueError("endpoints must differ")
-    counts, records = _path_census(g, v, k, shortest_only, vertex_scope, collect, target=w)
-    count = counts.get(w, 0)
-    return (count, records) if collect else count
-
-
-def irredundant_path_census(
-    g: DistanceGraph,
-    source: int,
-    k: int,
-    shortest_only: bool = False,
-    vertex_scope: str = "all",
-) -> dict:
-    """Endpoint -> count of irredundant k-edge paths from source."""
-    _check_path_args(k, vertex_scope)
-    if not 0 <= source < g.n:
-        raise ValueError("vertex index out of range")
-    return _path_census(g, source, k, shortest_only, vertex_scope, False, target=None)[0]
+    return irredundant_path_census(
+        g, v, k, shortest_only=shortest_only, vertex_scope=vertex_scope
+    ).get(w, 0)
 
 
 def path_stats(
@@ -429,26 +396,6 @@ def path_stats(
         lows.append(min(row))
         source_totals.append(sum(row))
     return max(highs), min(lows), source_totals
-
-
-def path_direction_tuple(record: PathRecord) -> tuple:
-    """Exponent of each edge displacement as a root-of-unity direction.
-
-    All displacements of one record share a conductor, hence a modulus;
-    the returned tuple lists the classified exponents in step order.
-    """
-    exps = []
-    modulus = None
-    for vec in record.edge_vectors:
-        form = classify_rational_angle(vec)
-        if form is None:
-            raise ValueError("edge displacement is not rational-angle")
-        if modulus is None:
-            modulus = form.modulus
-        elif form.modulus != modulus:
-            raise AssertionError("mixed moduli within one record")
-        exps.append(form.exponent)
-    return tuple(exps)
 
 
 def noncollinear_two_path_stats(g: DistanceGraph):

@@ -107,8 +107,9 @@ class PointSet:
         packs[b] - packs[a] == packs[d] - packs[c], a zero test of 4 signed
         points, so the graph keys its classification by pack differences.
         The path census makes zero tests of up to 2n signed points (see
-        `distgraph._path_census`).  A subset of these points may be handed
-        their packs: its zero tests combine no more points than the depth.
+        `distgraph.irredundant_path_census`).  A subset of these points may
+        be handed their packs: its zero tests combine no more points than
+        the depth.
         """
         return pack_vectors(self.scaled[0], max(2 * len(self), 4))
 

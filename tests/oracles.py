@@ -454,9 +454,10 @@ def brute_min_conductor(x: CycNum) -> int:
 # path oracle
 # ---------------------------------------------------------------------------
 
-def brute_path_census(g, source: int, k: int, shortest_scope=None) -> dict:
-    """Endpoint -> irredundant k-edge path count, by enumerating all
-    walks and re-checking every nonempty subset of edge vectors.
+def brute_irredundant_walks(g, source: int, k: int, shortest_scope=None):
+    """Yield the vertex tuple of each irredundant k-edge walk from source,
+    found by enumerating all walks and re-checking every nonempty subset
+    of edge vectors.
 
     With shortest_scope "all" or "neighbors", each step a -> b must also
     be strictly shorter than a -> x for every other vertex x on the line
@@ -465,7 +466,6 @@ def brute_path_census(g, source: int, k: int, shortest_scope=None) -> dict:
     squared distances are compared as Fractions, so they must be rational.
     """
     pts = g.pointset.points
-    counts = {}
 
     def squared(a, b):
         d = (pts[b] - pts[a]) * (pts[b] - pts[a]).conj()
@@ -508,7 +508,14 @@ def brute_path_census(g, source: int, k: int, shortest_scope=None) -> dict:
             if not ok:
                 break
         if ok:
-            counts[walk[-1]] = counts.get(walk[-1], 0) + 1
+            yield walk
+
+
+def brute_path_census(g, source: int, k: int, shortest_scope=None) -> dict:
+    """Endpoint -> number of the walks of `brute_irredundant_walks`."""
+    counts = {}
+    for walk in brute_irredundant_walks(g, source, k, shortest_scope):
+        counts[walk[-1]] = counts.get(walk[-1], 0) + 1
     return counts
 
 

@@ -13,7 +13,6 @@ from cyclolab import (
     CapExceeded,
     CycNum,
     DistanceGraph,
-    PathRecord,
     RationalAngleForm,
     analyze,
     build_graph,
@@ -28,7 +27,6 @@ from cyclolab import (
     min_degree_subgraph,
     noncollinear_two_path_stats,
     parallel_lines,
-    path_direction_tuple,
     path_stats,
     paths_lower_bound,
     peel_vertices,
@@ -500,8 +498,7 @@ def test_census_matches_brute_walks(make, mode):
     "make,mode", [(lambda: square_grid(4, 4), "rational"), (lambda: erdos_purdy(4), "unit")]
 )
 def test_census_at_depth_four_matches_brute_census(make, mode):
-    # at k = 4 the bulk last step meets positions in both pos and pos + d,
-    # and with collect the last step is taken one step at a time at depth 3
+    # at k = 4 the bulk last step meets positions in both pos and pos + d
     g = build_graph(make(), mode)
     k = 4
     pairs, totals = [], []
@@ -512,10 +509,6 @@ def test_census_at_depth_four_matches_brute_census(make, mode):
         row = [brute.get(w, 0) for w in range(g.n) if w != v]
         pairs += row
         totals.append(sum(row))
-        for w in range(g.n):
-            if w != v:
-                count, records = count_irredundant_paths(g, v, w, k, collect=True)
-                assert count == len(records) == census.get(w, 0), (mode, v, w)
     assert path_stats(g, k) == (max(pairs), min(pairs), totals), mode
 
 
@@ -533,10 +526,6 @@ def test_census_matches_brute_census_on_gaussian_points(coords, mode, k):
         assert census == oracles.brute_path_census(g, v, k), (mode, k, v)
         # the bulk last step drops the endpoints it counts down to zero
         assert 0 not in census.values()
-        for w in range(g.n):
-            if w != v:
-                count, records = count_irredundant_paths(g, v, w, k, collect=True)
-                assert count == len(records) == census.get(w, 0)
 
 
 def test_census_packs_deep_enough_for_three_edge_sums():
@@ -604,57 +593,45 @@ def test_census_count_consistency():
         assert census.get(w, 0) == count_irredundant_paths(g, 0, w, 3)
 
 
-def test_collected_records_are_irredundant_paths():
-    g = build_graph(erdos_purdy(3), "unit")
-    count, records = count_irredundant_paths(g, 0, 1, 3, collect=True)
-    assert count == len(records)
-    for rec in records:
-        assert isinstance(rec, PathRecord)
-        assert rec.irredundant and not rec.shortest
-        assert len(set(rec.vertices)) == len(rec.vertices)  # no revisits
-        assert rec.vertices[0] == 0 and rec.vertices[-1] == 1
-        total = CycNum.zero()
-        for vec in rec.edge_vectors:
-            total = total + vec
-        assert total == g.pointset.points[1] - g.pointset.points[0]
+def _walk_directions(g, walk) -> tuple:
+    """Exponent of each step of the walk as a root-of-unity direction,
+    asserting that the steps share one modulus."""
+    pts = g.pointset.points
+    forms = [classify_rational_angle(pts[b] - pts[a]) for a, b in zip(walk, walk[1:])]
+    assert len({form.modulus for form in forms}) == 1, walk
+    return tuple(form.exponent for form in forms)
+
+
+def _walks_to(g, v, w, k) -> list:
+    return [walk for walk in oracles.brute_irredundant_walks(g, v, k) if walk[-1] == w]
 
 
 def test_direction_tuple_triangle():
     g = build_graph(triangle(), "unit")
-    _, records = count_irredundant_paths(g, 0, 1, 2, collect=True)
-    (rec,) = records
-    assert rec.vertices == (0, 2, 1)
+    (walk,) = _walks_to(g, 0, 1, 2)
+    assert walk == (0, 2, 1)
     # conductor 6, so the modulus is 6: zeta_6 up, then its inverse back down
-    assert path_direction_tuple(rec) == (1, 5)
+    assert _walk_directions(g, walk) == (1, 5)
 
 
 def test_direction_tuple_injective_without_collinear_triples():
+    # the paper's 2-path lemma: with no three points collinear, a 2-path
+    # between fixed ends is fixed by its directions
     g = build_graph(erdos_purdy(3), "unit")
     for v in range(g.n):
-        for w in range(g.n):
-            if v == w:
-                continue
-            count, records = count_irredundant_paths(g, v, w, 2, collect=True)
-            tuples = [path_direction_tuple(r) for r in records]
-            assert len(set(tuples)) == len(tuples) == count
+        tuples = {}
+        for walk in oracles.brute_irredundant_walks(g, v, 2):
+            tuples.setdefault(walk[-1], []).append(_walk_directions(g, walk))
+        assert {w: len(ts) for w, ts in tuples.items()} == irredundant_path_census(g, v, 2)
+        for ts in tuples.values():
+            assert len(set(ts)) == len(ts), v
 
 
 def test_direction_tuple_collides_on_collinear_sets():
     g = build_graph(integer_row(4), "rational")
-    _, records = count_irredundant_paths(g, 0, 3, 2, collect=True)
-    tuples = [path_direction_tuple(r) for r in records]
-    assert len(records) == 2 and len(set(tuples)) == 1  # (0, 0) twice
-
-
-def test_direction_tuple_rejects_irrational_angles():
-    rec = PathRecord(
-        vertices=(0, 1),
-        edge_vectors=(CycNum(4, (1, 1)),),
-        irredundant=True,
-        shortest=False,
-    )
-    with pytest.raises(ValueError):
-        path_direction_tuple(rec)
+    walks = _walks_to(g, 0, 3, 2)
+    assert len(walks) == 2
+    assert {_walk_directions(g, walk) for walk in walks} == {(0, 0)}
 
 
 def test_two_path_stats_triangle():
