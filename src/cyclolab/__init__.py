@@ -27,7 +27,6 @@ from .mann import (
     pack_vectors,
     certify_extension,
     certify_mann,
-    chebyshev_bound_holds,
     chebyshev_bound_range,
     chebyshev_theta,
     enumerate_minimal_vanishing_sums,
@@ -91,7 +90,6 @@ __all__ = [
     "pack_vectors",
     "certify_extension",
     "certify_mann",
-    "chebyshev_bound_holds",
     "chebyshev_bound_range",
     "chebyshev_theta",
     "enumerate_minimal_vanishing_sums",

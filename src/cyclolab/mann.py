@@ -90,23 +90,14 @@ def chebyshev_theta(x) -> float:
     return float(sum(math.log(p) for p in primes_upto(x)))
 
 
-def chebyshev_bound_holds(x: int) -> bool:
-    """Certified check that theta(x) < 4x log 2.
-
-    Exact equivalence: theta(x) < 4x log 2 iff the product of the primes
-    up to x is below 2^(4x), which is a pure integer bit-length test.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return _primorial_upto(x).bit_length() <= 4 * x
-
-
 def chebyshev_bound_range(lo: int, hi: int):
     """Certified theta(x) < 4x log 2 for every integer x in [lo, hi].
 
+    Exact equivalence: theta(x) < 4x log 2 iff the product of the primes
+    up to x is below 2^(4x), which is a pure integer bit-length test.
     Returns (True, None) when the bound holds throughout, otherwise
     (False, first failing x).  One incremental primorial is shared by
-    the whole sweep.
+    the whole sweep; `chebyshev_bound_range(x, x)` certifies one x.
     """
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
@@ -125,11 +116,10 @@ def chebyshev_bound_range(lo: int, hi: int):
 # ---------------------------------------------------------------------------
 
 def pack_vectors(vectors, depth: int) -> list:
-    """Kronecker images of equal-length rational vectors, as Python ints.
+    """Kronecker images of equal-length int vectors, as Python ints.
 
-    All coordinates are scaled by one common denominator to ints, then a
-    vector v maps to P(v) = sum(v_i * B**i).  B = 2**(8w) for the fewest
-    whole bytes w with B > 2 * depth * M, where M is the largest scaled
+    A vector v maps to P(v) = sum(v_i * B**i).  B = 2**(8w) for the fewest
+    whole bytes w with B > 2 * depth * M, where M is the largest
     |coordinate|.  P is additive, and a sum of at most `depth` images,
     each signed +1 or -1, is 0 exactly when the same signed sum of the
     vectors is 0: every coordinate of that sum lies below B / 2 in
@@ -141,8 +131,8 @@ def pack_vectors(vectors, depth: int) -> list:
     int U.  Every coordinate c has |c| < B / 2, so flipping the top bit of
     its slot gives the slot of c + B / 2: U ^ bias, with bias the sum of
     (B / 2) B**i, is P(v) + bias.  So packing takes time linear in the
-    input and holds one vector's bytes at a time.  Vectors of ints are
-    packed as they are, with no scaling.
+    input and holds one vector's bytes at a time.  Coordinates must be
+    ints: callers scale rational vectors first.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -153,9 +143,6 @@ def pack_vectors(vectors, depth: int) -> list:
     width = lengths[0]
     if not width:
         raise ValueError("vectors must have at least one coordinate")
-    if set(map(type, chain.from_iterable(vectors))) - {int}:
-        ints, _ = _to_int_scaled(list(chain.from_iterable(vectors)))
-        vectors = [tuple(ints[s : s + width]) for s in range(0, len(ints), width)]
     M = max(map(abs, chain.from_iterable(vectors)), default=0)
     w = max(1, -(-(2 * depth * M).bit_length() // 8))
     code = _SLOT_CODES.get(w)
@@ -248,16 +235,16 @@ def _term_rows(turns, coeffs, conductor=1):
     return [_power_sum(((i, s),), n) for i, s in zip(index, scaled)], n, den
 
 
-def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
+def _first_vanishing_subset(rows):
     """First nonempty proper index subset of `rows` summing to zero, or None.
 
     Subsets are tried in bit-mask order (index i is bit i): entry mask of
     one table of subset sums is the sum of the rows whose bits mask sets.
-    More than `cap` rows are refused.
+    More than SUBSUM_CAP rows are refused.
     """
     k = len(rows)
-    if k > cap:
-        raise CapExceeded(f"subset scan capped at {cap} terms, got {k}")
+    if k > SUBSUM_CAP:
+        raise CapExceeded(f"subset scan capped at {SUBSUM_CAP} terms, got {k}")
     # a tested subset has at most k terms
     sums = [0]
     for v in pack_vectors(rows, k):
@@ -268,10 +255,10 @@ def _first_vanishing_subset(rows, cap: int = SUBSUM_CAP):
     return None
 
 
-def subsum_vanishes(t: RelationTuple, cap: int = SUBSUM_CAP):
+def subsum_vanishes(t: RelationTuple):
     """First nonempty proper index subset of t whose weighted sum is zero, as
-    sorted indices, or None.  Tuples longer than `cap` are refused."""
-    return _first_vanishing_subset(_term_rows(t.turns, t.coeffs)[0], cap)
+    sorted indices, or None.  Tuples longer than SUBSUM_CAP are refused."""
+    return _first_vanishing_subset(_term_rows(t.turns, t.coeffs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +516,8 @@ def charge_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
         raise ValueError("modulus must be positive")
     coeff_set = tuple(coeff_set)
     cs = _validate_coeff_set(coeff_set)
+    if k < 1:
+        raise ValueError("length must be at least 1")
     _charge(k, m, cs, m, budget, m * (m + 1) // 2 * len(cs) ** 2)
     return partial(_two_term_scan, k, m, coeff_set, cs)
 
@@ -551,8 +540,6 @@ def two_term_target_scan(k: int, m: int, coeff_set, budget: int = WORK_BUDGET):
 
 def _two_term_scan(k: int, m: int, coeff_set: tuple, cs: list):
     """The scan of `two_term_target_scan`, once charged."""
-    if k < 1:
-        raise ValueError("length must be at least 1")
     terms, den = _root_terms(m, cs, m)
     labels, rows = zip(*terms)
     # r1 + r2 = r1' + r2' is a zero test of four signed rows, r1 + r2 = 0 one of two

@@ -39,9 +39,9 @@ class PointSet:
     """A finite list of distinct plane points over one cyclotomic field.
 
     `points` all carry exactly the declared conductor, and their order is
-    significant: serialization preserves it byte for byte.  The name,
-    params and seed obey the point set loader's rules, so a saved set
-    loads back.  The derived views are computed once, on first use:
+    significant: serialization preserves it byte for byte.  The
+    constructor owns the rules for the name, params and seed, which the
+    point set loader applies by building a `PointSet`.  The derived views are computed once, on first use:
     `scaled`, `residues`, `packs`, `collinear`, the set's exact triple
     test on point indices, and `lines`, the one table of which points
     share a line.
@@ -53,6 +53,18 @@ class PointSet:
     seed: int = 0
 
     def __post_init__(self):
+        # the one owner of the provenance rules and messages:
+        # `serialize.obj_to_pointset` defers to them, so what is saved loads
+        if not isinstance(self.provenance, dict):
+            raise ValueError("provenance must be an object")
+        if not isinstance(self.provenance.get("params", {}), dict):
+            raise ValueError("provenance params must be an object")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer")
+        if "name" not in self.provenance:
+            raise ValueError("provenance must name the construction")
+        if not isinstance(self.provenance["name"], str):
+            raise ValueError("provenance name must be a string")
         pts = tuple(self.points)
         if any(not isinstance(p, CycNum) for p in pts):
             raise ValueError("points must be CycNum values")
@@ -64,17 +76,6 @@ class PointSet:
             if key in seen:
                 raise ValueError(f"points are not distinct: {p!r} repeats")
             seen.add(key)
-        # the rules and messages of `serialize.obj_to_pointset`, so what is saved loads
-        if not isinstance(self.provenance, dict):
-            raise ValueError("provenance must be an object")
-        if "name" not in self.provenance:
-            raise ValueError("provenance must name the construction")
-        if not isinstance(self.provenance["name"], str):
-            raise ValueError("provenance name must be a string")
-        if not isinstance(self.provenance.get("params", {}), dict):
-            raise ValueError("provenance params must be an object")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):

@@ -414,14 +414,14 @@ def test_mann_target_scan_budget_charged_up_front(capsys, monkeypatch):
 @pytest.mark.parametrize("k, code", [(0, 2), (1, 2), (2, 0), (3, 0)])
 def test_mann_target_scan_charges_once(capsys, monkeypatch, k, code):
     # the scan's charge of its m(m+1)/2 |cs|^2 targets comes first and is not
-    # repeated when the scan runs; the enumeration charges one census, and
-    # refuses k < 2 before charging
+    # repeated when the scan runs; the enumeration charges one census; the
+    # scan refuses k < 1 and the enumeration k < 2 before charging
     charge = mann._charge
     calls = []
     monkeypatch.setattr(mann, "_charge", lambda *args: calls.append(args[5:]) or charge(*args))
     assert run(["mann", "--k", k, "--modulus", 6, "--coeffs=1,-1,2", "--target-scan"]) == code
     capsys.readouterr()
-    assert calls == [(6 * 7 // 2 * 3**2,), ()][: 1 + (k >= 2)]
+    assert calls == [(6 * 7 // 2 * 3**2,), ()][: (k >= 1) + (k >= 2)]
 
 
 def test_mann_budget_charges_the_root_table(capsys, monkeypatch):
@@ -1071,10 +1071,12 @@ def test_mutated_relation_and_report_documents_load_or_raise_value_error(kind, e
         {"mode": 7},
         {"n": True},
         {"peel_threshold": "1/0"},
+        {"bounds": {"relation_count": 144.0, "two_path": 144, "continuation": 6, "continuation_discounted": 0.75}},
+        {"bounds": {"relation_count": 144, "two_path": 144, "continuation": 6, "continuation_discounted": 1}},
     ],
     ids=[
         "ceilings-list", "bounds-int", "ceilings-unknown", "seed-str", "mode-int", "n-bool",
-        "threshold-div0",
+        "threshold-div0", "bound-count-float", "bound-discounted-int",
     ],
 )
 def test_malformed_report_via_cli_exits_2(ep3, tmp_path, capsys, change):

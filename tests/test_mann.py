@@ -16,7 +16,6 @@ from cyclolab import (
     build_graph,
     certify_extension,
     certify_mann,
-    chebyshev_bound_holds,
     chebyshev_bound_range,
     chebyshev_theta,
     enumerate_minimal_vanishing_sums,
@@ -76,14 +75,14 @@ def test_chebyshev_theta_and_bound():
     assert chebyshev_theta(1) == 0.0
     assert abs(chebyshev_theta(2) - math.log(2)) < 1e-12
     assert abs(chebyshev_theta(10) - sum(math.log(p) for p in (2, 3, 5, 7))) < 1e-12
-    assert chebyshev_bound_holds(2)
-    assert chebyshev_bound_holds(1)
+    assert chebyshev_bound_range(2, 2) == (True, None)
+    assert chebyshev_bound_range(1, 1) == (True, None)
     ok, first = chebyshev_bound_range(2, 1000)
     assert ok and first is None
     with pytest.raises(ValueError):
         chebyshev_bound_range(5, 4)
     with pytest.raises(ValueError):
-        chebyshev_bound_holds(-1)
+        chebyshev_bound_range(-1, -1)
 
 
 def test_chebyshev_certificate_is_integer_based():
@@ -91,7 +90,7 @@ def test_chebyshev_certificate_is_integer_based():
     prod = 1
     for p in primes_upto(100):
         prod *= p
-    assert chebyshev_bound_holds(100) == (prod.bit_length() <= 400)
+    assert chebyshev_bound_range(100, 100)[0] == (prod.bit_length() <= 400)
 
 
 def test_relations_need_no_powers_or_root_lists(monkeypatch, tmp_path):
@@ -147,7 +146,7 @@ def test_relation_checks_make_no_field_products(monkeypatch, tmp_path):
     assert loaded == rels + hits + [third]
 
 
-_PACK_COORDS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+_PACK_COORDS = st.integers(-3, 3)
 
 
 @given(
@@ -164,10 +163,7 @@ def test_pack_vectors_zero_iff_vector_sum_zero(vectors, depth):
     for size in range(1, min(depth, len(vectors)) + 1):
         for picked in combinations(range(len(vectors)), size):
             for signs in product((1, -1), repeat=size):
-                vector_sum = [
-                    sum(sign * Fraction(vectors[i][axis]) for i, sign in zip(picked, signs))
-                    for axis in range(2)
-                ]
+                vector_sum = [sum(sign * vectors[i][axis] for i, sign in zip(picked, signs)) for axis in range(2)]
                 packed_sum = sum(sign * packed[i] for i, sign in zip(picked, signs))
                 assert (packed_sum == 0) == (vector_sum == [0, 0])
 
@@ -185,19 +181,6 @@ def test_pack_vectors_zero_iff_vector_sum_zero(vectors, depth):
 def test_pack_vectors_refuses_bad_input(vectors, depth, message):
     with pytest.raises(ValueError, match=message):
         pack_vectors(vectors, depth)
-
-
-def test_pack_vectors_takes_ints_unscaled(monkeypatch):
-    from cyclolab import mann
-
-    vectors = [(3, -1, 0), (0, 2, -7), (5, 0, 1)]
-    as_fractions = pack_vectors([tuple(map(Fraction, v)) for v in vectors], 3)
-
-    def no_scaling(coeffs):
-        raise AssertionError("ints were scaled")
-
-    monkeypatch.setattr(mann, "_to_int_scaled", no_scaling)
-    assert pack_vectors(vectors, 3) == as_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +407,7 @@ def test_subsum_cap():
         total = total + r
     t = RelationTuple(roots=roots, coeffs=(ONE,) * 16, target=total)
     with pytest.raises(CapExceeded):
-        subsum_vanishes(t, cap=8)
+        subsum_vanishes(t)
 
 
 def test_relation_len():
@@ -876,6 +859,9 @@ def test_target_scan_rejects_nonpositive_modulus():
 def test_target_scan_rejects_nonpositive_length():
     with pytest.raises(ValueError, match="^length must be at least 1$"):
         two_term_target_scan(0, 6, (1,))
+    # checked before the charge, which this scan's 10**6 modulus would exceed
+    with pytest.raises(ValueError, match="^length must be at least 1$"):
+        two_term_target_scan(0, 10**6, (1,))
 
 
 def test_target_scan_with_no_represented_target():
